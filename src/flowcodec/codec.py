@@ -9,13 +9,18 @@ in which case both sides substitute that mean symbol; encoder and
 decoder therefore agree on every skip decision by construction, and the
 coder path always evaluates the models in float64.
 
-Container layout (`NFB1`, little-endian): a CRC-protected header (model
-id, original and padded extents, quantization steps, threshold, level
-mask, per-channel base symbol ranges, section byte lengths) followed by
-the payload sections z0, z1, z2a, z2b.  The finest level is coded as two
-independent streams split at a fixed raster position so that a partial-
-quality stream is a byte prefix; truncation drops whole trailing
-sections and never needs the model.
+The base latents are coded under one frequency table per channel.  The
+conditional levels build no tables: each coded symbol's span comes from
+two edges of a quantized logistic CDF computed on demand
+(`_QuantizedLogistic`), and the decoder bisects that CDF for the symbol.
+
+Container layout (`NFB1`, version 2, little-endian): a CRC-protected
+header (model id, original and padded extents, quantization steps,
+threshold, level mask, per-channel base symbol ranges, section byte
+lengths) followed by the payload sections z0, z1, z2a, z2b.  The finest
+level is coded as two independent streams split at a fixed raster
+position so that a partial-quality stream is a byte prefix; truncation
+drops whole trailing sections and never needs the model.
 
 One coder state per stream; many streams may run concurrently over a
 shared immutable model.
@@ -23,9 +28,10 @@ shared immutable model.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,11 +39,13 @@ from .entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from .errors import FormatError, ModelMismatchError, NumericError
 from .flow import LEVELS, FlowModel, LatentSet
 from .quantize import grid_index, round_to_grid
-from .rangecoder import MAX_SYMBOLS, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table
+from .rangecoder import (
+    MAX_SYMBOLS, TOTAL, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
+)
 from .tensor import Tensor, no_grad
 
 BITSTREAM_MAGIC = b"NFB1"
-BITSTREAM_VERSION = 1
+BITSTREAM_VERSION = 2
 P_THRESH_DEFAULT = 0.9
 PARTIAL_FRACTION_DEFAULT = 0.5
 
@@ -45,6 +53,8 @@ LEVEL_CODES = {1.0: 10, 2.0: 20, 2.5: 25, 3.0: 30}
 CODE_LEVELS = {v: k for k, v in LEVEL_CODES.items()}
 
 _SECTION_NAMES = ("z0", "z1", "z2a", "z2b")
+
+_ESCAPE_CUM = TOTAL - 1  # conditional escape slot: [TOTAL - 1, TOTAL)
 
 
 # -- container -----------------------------------------------------------------
@@ -94,47 +104,46 @@ def _pack_header(h: Header) -> bytes:
     return bytes(out)
 
 
+def _unpack(fmt: str, blob: bytes, pos: int) -> tuple[tuple, int]:
+    try:
+        fields = struct.unpack_from(fmt, blob, pos)
+    except struct.error:
+        raise FormatError("bitstream truncated inside the header") from None
+    return fields, pos + struct.calcsize(fmt)
+
+
 def _parse_header(blob: bytes) -> tuple[Header, int]:
     if blob[:4] != BITSTREAM_MAGIC:
         raise FormatError(f"bad bitstream magic {blob[:4]!r}")
-    pos = 4
-    (version,) = struct.unpack_from("<B", blob, pos)
-    pos += 1
+    (version,), pos = _unpack("<B", blob, 4)
     if version != BITSTREAM_VERSION:
         raise FormatError(f"unsupported bitstream version {version}")
-    model_id = blob[pos : pos + 16]
-    pos += 16
-    orig_h, orig_w, pad_h, pad_w, channels = struct.unpack_from("<IIIIH", blob, pos)
-    pos += struct.calcsize("<IIIIH")
-    p_thresh, level_code, partial_frac, partial_count = struct.unpack_from("<dBdI", blob, pos)
-    pos += struct.calcsize("<dBdI")
+    (model_id,), pos = _unpack("<16s", blob, pos)
+    (orig_h, orig_w, pad_h, pad_w, channels), pos = _unpack("<IIIIH", blob, pos)
+    (p_thresh, level_code, partial_frac, partial_count), pos = _unpack("<dBdI", blob, pos)
     if level_code not in CODE_LEVELS:
         raise FormatError(f"unknown level mask code {level_code}")
-    delta2, delta1, n_ch = struct.unpack_from("<ddH", blob, pos)
-    pos += struct.calcsize("<ddH")
-    delta0 = np.array(struct.unpack_from(f"<{n_ch}d", blob, pos))
-    pos += 8 * n_ch
-    base_ranges = []
-    for _ in range(n_ch):
-        k_min, k_max = struct.unpack_from("<hh", blob, pos)
-        base_ranges.append((k_min, k_max))
-        pos += 4
-    lengths = {}
-    for name in _SECTION_NAMES:
-        (lengths[name],) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-    (crc,) = struct.unpack_from("<I", blob, pos)
+    (delta2, delta1, n_ch), pos = _unpack("<ddH", blob, pos)
+    delta0, pos = _unpack(f"<{n_ch}d", blob, pos)
+    flat_ranges, pos = _unpack(f"<{2 * n_ch}h", blob, pos)
+    base_ranges = list(zip(flat_ranges[::2], flat_ranges[1::2]))
+    lengths, pos = _unpack(f"<{len(_SECTION_NAMES)}Q", blob, pos)
+    (crc,), end = _unpack("<I", blob, pos)
     if zlib.crc32(blob[:pos]) != crc:
         raise FormatError("bitstream header CRC mismatch")
-    pos += 4
+    if not 0.0 < p_thresh <= 1.0:
+        raise FormatError(f"threshold {p_thresh!r} lies outside (0, 1]")
+    try:
+        spec = QuantSpec(delta2, delta1, np.array(delta0))
+    except ValueError as exc:
+        raise FormatError(f"bad header steps: {exc}") from None
     header = Header(
         model_id=model_id, orig_h=orig_h, orig_w=orig_w, pad_h=pad_h, pad_w=pad_w,
         channels=channels, p_thresh=p_thresh, level_mask=CODE_LEVELS[level_code],
-        partial_frac=partial_frac, partial_count=partial_count,
-        spec=QuantSpec(delta2, delta1, delta0),
-        base_ranges=base_ranges, section_lengths=lengths,
+        partial_frac=partial_frac, partial_count=partial_count, spec=spec,
+        base_ranges=base_ranges, section_lengths=dict(zip(_SECTION_NAMES, lengths)),
     )
-    return header, pos
+    return header, end
 
 
 def _split_sections(blob: bytes, header: Header, start: int) -> dict[str, bytes]:
@@ -215,22 +224,54 @@ def _skip_mask(mu: np.ndarray, sigma: np.ndarray, delta: float, p_thresh: float)
     return p_mean > p_thresh
 
 
-def _logistic_table(mu: float, sigma: float, delta: float) -> FrequencyTable:
-    """Per-element table over a quantile span around the mean symbol.
+class _QuantizedLogistic:
+    """Integer CDF of one discrete logistic, evaluated on demand.
 
-    The half-width tracks sigma/delta with a taper at very fine steps so
-    floor counts stay a small fraction of the total; genuine outliers go
-    through the escape slot.  Pure function of (mu, sigma, delta), so
-    both coder sides rebuild the identical table.
+    The window [k_lo, k_lo + n) is centered on the mean symbol; its
+    half-width tracks sigma/delta with a taper at very fine steps so the
+    one-count floors stay a small fraction of the total, and genuine
+    outliers go through the escape slot [TOTAL - 1, TOTAL).  Symbol
+    k_lo + i spans [cum(i), cum(i + 1)), where
+
+        cum(i) = i + floor((TOTAL - 1 - n) * (F(e_i) - F(e_0)) / (F(e_n) - F(e_0)))
+
+    and F(e_i) is the logistic CDF at the lower bin edge of k_lo + i.
+    Encoder and decoder both evaluate it through `cum`, in Python floats,
+    so they agree bit for bit.  Every frequency is at least one while F
+    is monotone in floating point; the encoder checks the span it writes.
     """
-    k_mu = int(np.round(mu / delta))
-    r = sigma / delta
-    reach = 20.0 if r <= 100.0 else max(6.0, 2000.0 / r)
-    w = int(np.ceil(reach * r)) + 1
-    w = min(w, 8191)  # flat conditionals fall back to escapes beyond this
-    grid = (k_mu + np.arange(-w, w + 1, dtype=np.float64)) * delta
-    probs = logistic_bin_prob(grid, mu, sigma, delta)
-    return build_freq_table(probs, k_mu - w)
+
+    __slots__ = ("mu", "sigma", "delta", "k_lo", "n", "f0", "span", "mass")
+
+    def __init__(self, mu: float, sigma: float, delta: float):
+        r = sigma / delta
+        reach = 20.0 if r <= 100.0 else max(6.0, 2000.0 / r)
+        w = min(math.ceil(reach * r) + 1, 8191)  # flat conditionals escape beyond this
+        self.mu, self.sigma, self.delta = mu, sigma, delta
+        self.k_lo = round(mu / delta) - w
+        self.n = 2 * w + 1
+        self.mass = _ESCAPE_CUM - self.n
+        self.f0 = self._cdf(0)
+        self.span = self._cdf(self.n) - self.f0
+        if not self.span > 0.0:
+            raise NumericError(
+                f"logistic window of {self.n} symbols has no mass "
+                f"(mu={mu!r}, sigma={sigma!r}, delta={delta!r})"
+            )
+
+    def _cdf(self, i: int) -> float:
+        t = ((self.k_lo + i - 0.5) * self.delta - self.mu) / self.sigma
+        if t >= 0.0:
+            return 1.0 / (1.0 + math.exp(-t))
+        e = math.exp(t)  # this branch never overflows
+        return e / (1.0 + e)
+
+    def cum(self, i: int) -> int:
+        if i == 0:
+            return 0
+        if i == self.n:
+            return _ESCAPE_CUM
+        return i + math.floor(self.mass * ((self._cdf(i) - self.f0) / self.span))
 
 
 # -- base level (z0) --------------------------------------------------------------
@@ -305,23 +346,30 @@ def _encode_conditional(values_hat: np.ndarray, mu: np.ndarray, sigma: np.ndarra
                         element_range: tuple[int, int]) -> tuple[bytes, np.ndarray, int]:
     """Code one slice of a conditional level; returns (payload, effective
     values after mean substitution, coded-symbol count)."""
-    flat_v = values_hat.reshape(-1)
     flat_mu = mu.reshape(-1)
     flat_sigma = sigma.reshape(-1)
-    skip = _skip_mask(flat_mu, flat_sigma, delta, p_thresh)
-    means = mean_symbol(flat_mu, delta)
     lo, hi = element_range
+    skip = _skip_mask(flat_mu[lo:hi], flat_sigma[lo:hi], delta, p_thresh)
+    effective = values_hat.reshape(-1).copy()
+    effective[lo:hi][skip] = mean_symbol(flat_mu[lo:hi][skip], delta)
+    coded = lo + np.flatnonzero(~skip)
     enc = RangeEncoder()
-    coded = 0
-    effective = flat_v.copy()
-    for j in range(lo, hi):
-        if skip[j]:
-            effective[j] = means[j]
-            continue
-        table = _logistic_table(flat_mu[j], flat_sigma[j], delta)
-        enc.encode_symbol(table, int(np.round(flat_v[j] / delta)))
-        coded += 1
-    return enc.finish(), effective.reshape(values_hat.shape), coded
+    for v, m, s in zip(effective[coded].tolist(), flat_mu[coded].tolist(),
+                       flat_sigma[coded].tolist()):
+        q = _QuantizedLogistic(m, s, delta)
+        k = round(v / delta)
+        i = k - q.k_lo
+        if 0 <= i < q.n:
+            c0, c1 = q.cum(i), q.cum(i + 1)
+            if c1 <= c0:
+                raise NumericError(
+                    f"symbol {k} got frequency {c1 - c0} (mu={m!r}, sigma={s!r})"
+                )
+            enc.encode(c0, c1 - c0)
+        else:
+            enc.encode(_ESCAPE_CUM, 1)
+            enc.encode_raw(k)
+    return enc.finish(), effective.reshape(values_hat.shape), len(coded)
 
 
 def _decode_conditional(payload: bytes | None, mu: np.ndarray, sigma: np.ndarray,
@@ -332,22 +380,38 @@ def _decode_conditional(payload: bytes | None, mu: np.ndarray, sigma: np.ndarray
     payload substitutes the mean symbol everywhere in the slice."""
     flat_mu = mu.reshape(-1)
     flat_sigma = sigma.reshape(-1)
-    means = mean_symbol(flat_mu, delta)
     lo, hi = element_range
+    out_flat[lo:hi] = mean_symbol(flat_mu[lo:hi], delta)
     if payload is None:
-        out_flat[lo:hi] = means[lo:hi]
         return 0
-    skip = _skip_mask(flat_mu, flat_sigma, delta, p_thresh)
+    skip = _skip_mask(flat_mu[lo:hi], flat_sigma[lo:hi], delta, p_thresh)
+    coded = lo + np.flatnonzero(~skip)
     dec = RangeDecoder(payload, context)
-    coded = 0
-    for j in range(lo, hi):
-        if skip[j]:
-            out_flat[j] = means[j]
+    ks = []
+    for m, s in zip(flat_mu[coded].tolist(), flat_sigma[coded].tolist()):
+        try:
+            q = _QuantizedLogistic(m, s, delta)
+        except (NumericError, OverflowError) as exc:
+            # the encoder fails on the same element, so no stream codes it
+            raise FormatError(f"{context}: step {delta!r} cannot be coded ({exc})") from None
+        target = dec.decode_target()
+        if target >= _ESCAPE_CUM:
+            dec.advance(_ESCAPE_CUM, 1)
+            ks.append(dec.decode_raw())
             continue
-        table = _logistic_table(flat_mu[j], flat_sigma[j], delta)
-        out_flat[j] = dec.decode_symbol(table) * delta
-        coded += 1
-    return coded
+        # bisect for cum(i) <= target < cum(i + 1)
+        i, c_lo, j, c_hi = 0, 0, q.n, _ESCAPE_CUM
+        while j - i > 1:
+            mid = (i + j) // 2
+            c = q.cum(mid)
+            if c <= target:
+                i, c_lo = mid, c
+            else:
+                j, c_hi = mid, c
+        dec.advance(c_lo, c_hi - c_lo)
+        ks.append(q.k_lo + i)
+    out_flat[coded] = np.array(ks, dtype=np.float64) * delta
+    return len(coded)
 
 
 # -- public encode/decode --------------------------------------------------------------
@@ -364,6 +428,8 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     """
     if levels not in LEVEL_CODES:
         raise ValueError(f"levels must be one of {sorted(LEVEL_CODES)}, got {levels}")
+    if not 0.0 < p_thresh <= 1.0:
+        raise ValueError(f"p_thresh must lie in (0, 1], got {p_thresh!r}")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != model.config.in_channels:
         raise ModelMismatchError(
@@ -491,24 +557,9 @@ def truncate_bitstream(blob: bytes, target: float) -> bytes:
             f"cannot truncate to {target} levels: stream holds {header.level_mask}"
         )
     sections = _split_sections(blob, header, start)
-    keep = {"z0"}
-    if target >= 2.0:
-        keep.add("z1")
-    if target >= 2.5:
-        keep.add("z2a")
-    if target >= 3.0:
-        keep.add("z2b")
-    new_header = Header(
-        model_id=header.model_id, orig_h=header.orig_h, orig_w=header.orig_w,
-        pad_h=header.pad_h, pad_w=header.pad_w, channels=header.channels,
-        p_thresh=header.p_thresh, level_mask=target,
-        partial_frac=header.partial_frac, partial_count=header.partial_count,
-        spec=header.spec, base_ranges=header.base_ranges,
-        section_lengths={
-            name: (header.section_lengths[name] if name in keep else 0)
-            for name in _SECTION_NAMES
-        },
-    )
-    return _pack_header(new_header) + b"".join(
-        sections[name] for name in _SECTION_NAMES if name in keep
-    )
+    keep = replace(header, level_mask=target).sections_present()
+    new_header = replace(header, level_mask=target, section_lengths={
+        name: (header.section_lengths[name] if name in keep else 0)
+        for name in _SECTION_NAMES
+    })
+    return _pack_header(new_header) + b"".join(sections[name] for name in keep)

@@ -42,8 +42,9 @@ class QuantSpec:
         self.delta2 = float(self.delta2)
         self.delta1 = float(self.delta1)
         self.delta0 = np.asarray(self.delta0, dtype=np.float64)
-        if self.delta2 <= 0 or self.delta1 <= 0 or np.any(self.delta0 <= 0):
-            raise ValueError("quantization steps must be strictly positive")
+        steps = np.concatenate(([self.delta2, self.delta1], self.delta0))
+        if not np.all(np.isfinite(steps) & (steps > 0)):
+            raise ValueError("quantization steps must be finite and strictly positive")
 
     @classmethod
     def uniform(cls, step: float, base_channels: int) -> "QuantSpec":

@@ -6,11 +6,17 @@ already-buffered output (the cache plus a run of 0xFF placeholders).
 Frequencies always sum to exactly 2^16, so the range never drops below
 the table total between renormalizations.
 
+Symbols are coded either under a `FrequencyTable` (`encode_symbol` /
+`decode_symbol`) or from a caller-computed cumulative span: the encoder
+takes (cum, freq) directly, and the decoder exposes the matching
+`decode_target` / `advance` pair, so a model whose CDF is evaluated on
+demand never has to materialize a table.
+
 Tables map a contiguous integer symbol range [k_min, k_max] plus one
 escape slot to integer frequencies: every in-range symbol keeps at
 least one count so anything that occurs is codable; the escape slot is
 reserved one count before quantization and is followed in the stream by
-the raw 32-bit symbol value.
+the raw 32-bit symbol value (`encode_raw` / `decode_raw`).
 
 One coder state per stream, single-threaded per stream.
 """
@@ -135,8 +141,12 @@ class RangeEncoder:
         cum, freq = table.span(index)
         self.encode(cum, freq)
         if index == table.escape_index:
-            for b in struct.pack("<i", int(k)):
-                self.encode(b, 1, 256)
+            self.encode_raw(k)
+
+    def encode_raw(self, k: int) -> None:
+        """The raw signed 32-bit value that follows a coded escape slot."""
+        for b in struct.pack("<i", int(k)):
+            self.encode(b, 1, 256)
 
     def finish(self) -> bytes:
         if self._open:
@@ -166,11 +176,14 @@ class RangeDecoder:
         self.pos += 1
         return b
 
-    def _decode_cum(self, total: int) -> int:
+    def decode_target(self, total: int = TOTAL) -> int:
+        """Cumulative count in [0, total) that the next symbol's span
+        covers; follow with `advance` over that span."""
         self._r = self.range // total
         return min(self.code // self._r, total - 1)
 
-    def _advance(self, cum: int, freq: int) -> None:
+    def advance(self, cum: int, freq: int) -> None:
+        """Consume the span [cum, cum + freq) found for the last target."""
         self.code -= cum * self._r
         self.range = self._r * freq
         while self.range < TOP:
@@ -178,16 +191,19 @@ class RangeDecoder:
             self.range = (self.range << 8) & MASK32
 
     def decode_symbol(self, table: FrequencyTable) -> int:
-        dc = self._decode_cum(TOTAL)
+        dc = self.decode_target()
         index = int(np.searchsorted(table.cum, dc, side="right")) - 1
         cum, freq = table.span(index)
-        self._advance(cum, freq)
+        self.advance(cum, freq)
         if index == table.escape_index:
-            raw = bytes(self._decode_raw_byte() for _ in range(4))
-            return struct.unpack("<i", raw)[0]
+            return self.decode_raw()
         return table.k_min + index
 
-    def _decode_raw_byte(self) -> int:
-        b = self._decode_cum(256)
-        self._advance(b, 1)
-        return b
+    def decode_raw(self) -> int:
+        """Mirror of `RangeEncoder.encode_raw`."""
+        raw = bytearray()
+        for _ in range(4):
+            b = self.decode_target(256)
+            self.advance(b, 1)
+            raw.append(b)
+        return struct.unpack("<i", raw)[0]

@@ -16,6 +16,7 @@ be used from distinct threads.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,8 +25,11 @@ Array = np.ndarray
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# Global switch: when False, ops do not record tape edges (inference path).
-_grad_enabled = True
+# When False, ops do not record tape edges (inference path).  Context-
+# local, so a no_grad block in one thread leaves other threads recording.
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "grad_enabled", default=True
+)
 
 # An op's backward maps the output gradient to (parent, gradient) pairs.
 BackwardFn = Callable[[Array], "list[tuple[Tensor, Array]]"]
@@ -33,18 +37,17 @@ BackwardFn = Callable[[Array], "list[tuple[Tensor, Array]]"]
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / coding path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block (inference / coding path)
+    for the current thread or context only."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 class Tensor:
@@ -206,7 +209,7 @@ def as_tensor(x) -> Tensor:
 def _make(data: Array, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
     """Wrap an op result; records the tape edge only when grads are live."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

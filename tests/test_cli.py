@@ -114,6 +114,13 @@ class TestInspectTruncate:
         assert run("decode", "--model", quick_model_path, "--bitstream", cut,
                    "--out", tmp_path / "o.ppm") == 0
 
+    def test_inspect_header_prefix_exit_3(self, quick_model_path, test_card, tmp_path):
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        bs.write_bytes(bs.read_bytes()[:30])
+        assert run("inspect", "--bitstream", bs) == 3
+
     def test_truncate_bad_level(self, quick_model_path, test_card, tmp_path):
         bs = tmp_path / "c.nfb"
         run("encode", "--model", quick_model_path, "--input", test_card,

@@ -1,5 +1,8 @@
 """Codec: round trips, skip agreement, container rules, progressive modes."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from helpers import perturb_model
@@ -14,10 +17,10 @@ from flowcodec.codec import (
     truncate_bitstream,
 )
 from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol, skip_boundary_sigma
-from flowcodec.errors import FormatError, ModelMismatchError
+from flowcodec.errors import FormatError, ModelMismatchError, NumericError
 from flowcodec.flow import FlowConfig, FlowModel
 from flowcodec.quantize import round_to_grid
-from flowcodec.rangecoder import RangeDecoder, RangeEncoder
+from flowcodec.rangecoder import TOTAL, RangeDecoder, RangeEncoder
 from flowcodec.tensor import Tensor, no_grad
 
 
@@ -177,6 +180,56 @@ class TestSkipDecisions:
         assert np.array_equal(out, values.reshape(-1))
 
 
+class TestQuantizedLogistic:
+    """The table-free conditional CDF over sigma/delta in [1e-3, 1e4] and
+    |mu/delta| up to 1e6, including the 8191-symbol half-width cap."""
+
+    @staticmethod
+    def cases():
+        """(mu/delta, sigma/delta, delta) triples: fixed extremes, then a sweep."""
+        rng = np.random.default_rng(95)
+        out = [(0.0, 1e-3, 1.0), (0.5, 1e4, 1.0), (-1e6, 1e4, 1.0), (1e6, 1e-3, 1.0),
+               (2.5, 1365.0, 0.5), (-7.25, 1400.0, 0.25), (3e5, 250.0, 1e-3)]
+        for _ in range(60):
+            m = float(rng.uniform(-1, 1) * 10.0 ** rng.uniform(0, 6))
+            out.append((m, float(10.0 ** rng.uniform(-3, 4)), float(10.0 ** rng.uniform(-3, 1))))
+        return out
+
+    def test_cdf_edges_and_floors(self):
+        for m, r, delta in self.cases():
+            q = C._QuantizedLogistic(m * delta, r * delta, delta)
+            assert q.n <= 2 * 8191 + 1
+            cum = np.array([q.cum(i) for i in range(q.n + 1)])
+            assert cum[0] == 0 and cum[-1] == TOTAL - 1, (m, r, delta)
+            assert np.diff(cum).min() >= 1, (m, r, delta)
+
+    def test_random_symbols_roundtrip_with_escapes(self):
+        rng = np.random.default_rng(96)
+        cases = np.array(self.cases())
+        n, delta = 400, 0.5
+        m, r, _ = cases[rng.integers(0, len(cases), n)].T
+        offset = np.round(rng.logistic(size=n) * r)
+        outlier = rng.random(n) < 0.1  # beyond any window: escapes
+        offset[outlier] = rng.choice([-1, 1], outlier.sum()) * rng.integers(9000, 10**6, outlier.sum())
+        values = (np.round(m) + offset) * delta
+        shape = (1, 1, 1, n)
+        mu, sigma = (m * delta).reshape(shape), (r * delta).reshape(shape)
+        payload, effective, coded = C._encode_conditional(
+            values.reshape(shape), mu, sigma, delta, 1.0, (0, n))
+        out = np.zeros(n)
+        assert C._decode_conditional(payload, mu, sigma, delta, 1.0, (0, n), out,
+                                     "sweep") == coded == n
+        assert np.array_equal(out, values)
+
+    def test_encoder_refuses_a_zero_frequency(self, monkeypatch):
+        """A CDF that is not monotone in floating point is caught by the
+        encoder instead of producing an undecodable stream."""
+        monkeypatch.setattr(C._QuantizedLogistic, "cum", lambda self, i: 7)
+        with pytest.raises(NumericError, match="frequency"):
+            C._encode_conditional(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)),
+                                  np.ones((1, 1, 1, 1)), 1.0, 1.0, (0, 1))
+
+
 class TestProgressive:
     def test_level1_stream_has_only_base_section(self, model, image):
         blob = encode_image(model, image, spec_for(model, 1.0), levels=1.0)
@@ -263,6 +316,55 @@ class TestContainer:
     def test_wrong_channel_image_rejected(self, model):
         with pytest.raises(ModelMismatchError, match="channel"):
             encode_image(model, np.zeros((1, 16, 16)), spec_for(model, 1.0))
+
+    def test_header_cut_short_anywhere(self, model, image):
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        _, start = C._parse_header(blob)
+        for cut in range(start):
+            with pytest.raises(FormatError):
+                inspect_bitstream(blob[:cut])
+
+    @pytest.mark.parametrize("field,value", [
+        ("delta2", float("nan")), ("delta2", 0.0), ("delta1", -1.0), ("delta1", float("inf")),
+        ("delta0", float("nan")), ("delta0", 0.0),
+        ("p_thresh", float("nan")), ("p_thresh", 0.0), ("p_thresh", 1.5), ("p_thresh", -0.1),
+    ])
+    def test_bad_header_values_rejected(self, model, image, field, value):
+        """Non-finite or non-positive steps and thresholds outside (0, 1]
+        are format errors even when the header CRC is recomputed."""
+        blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
+        _, start = C._parse_header(bytes(blob))
+        p_thresh_at = 5 + 16 + struct.calcsize("<IIIIH")
+        delta2_at = p_thresh_at + struct.calcsize("<dBdI")
+        offset = {"p_thresh": p_thresh_at, "delta2": delta2_at, "delta1": delta2_at + 8,
+                  "delta0": delta2_at + struct.calcsize("<ddH")}[field]
+        struct.pack_into("<d", blob, offset, value)
+        struct.pack_into("<I", blob, start - 4, zlib.crc32(bytes(blob[: start - 4])))
+        with pytest.raises(FormatError):
+            inspect_bitstream(bytes(blob))
+        with pytest.raises(FormatError):
+            decode_image(model, bytes(blob))
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324])
+    def test_uncodable_step_is_a_format_error(self, model, image, step):
+        """A valid header whose step no encoder can code with fails to
+        decode with FormatError, not an arithmetic error."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        header.spec = QuantSpec(header.spec.delta2, step, header.spec.delta0)
+        with np.errstate(over="ignore"), pytest.raises(FormatError, match="section z1"):
+            decode_image(model, C._pack_header(header) + blob[start:])
+
+    def test_version_1_rejected(self, model, image):
+        blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
+        blob[4] = 1
+        with pytest.raises(FormatError, match="version 1"):
+            inspect_bitstream(bytes(blob))
+
+    @pytest.mark.parametrize("p_thresh", [0.0, 1.5, float("nan")])
+    def test_encoder_rejects_bad_threshold(self, model, image, p_thresh):
+        with pytest.raises(ValueError, match="p_thresh"):
+            encode_image(model, image, spec_for(model, 1.0), p_thresh=p_thresh)
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):

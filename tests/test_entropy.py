@@ -228,6 +228,13 @@ class TestQuantSpec:
         with pytest.raises(ValueError, match="positive"):
             QuantSpec(1.0, 0.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuantSpec(bad, 1.0, np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            QuantSpec(1.0, 1.0, np.array([1.0, bad]))
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="declares"):
             QuantSpec.from_lines(["5", "1.0", "1.0", "1.0"])

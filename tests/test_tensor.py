@@ -1,5 +1,6 @@
 """Tensor engine: op semantics, tape behavior, gradient fidelity."""
 
+import threading
 import zlib
 
 import numpy as np
@@ -120,6 +121,32 @@ class TestBackward:
         with T.no_grad():
             y = (x * 2.0).sum()
         assert y._parents == () and not y.requires_grad
+
+    def test_no_grad_is_thread_local(self):
+        """A no_grad block in one thread leaves another thread recording."""
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def inference():
+            with T.no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                seen.append(T.grad_enabled())
+
+        worker = threading.Thread(target=inference)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            x = Tensor(np.ones(3), requires_grad=True)
+            y = (x * 2.0).sum()
+            assert T.grad_enabled()
+            assert y.requires_grad and y._parents
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [False]
+        assert T.grad_enabled()
 
 
 class TestDeterminism:
