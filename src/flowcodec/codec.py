@@ -20,7 +20,9 @@ threshold, level mask, per-channel base symbol ranges, section byte
 lengths) followed by the payload sections z0, z1, z2a, z2b.  The finest
 level is coded as two independent streams split at a fixed raster
 position so that a partial-quality stream is a byte prefix; truncation
-drops whole trailing sections and never needs the model.
+drops whole trailing sections and never needs the model.  The decoder
+refuses a header whose fields disagree with each other or with the
+model.
 
 One coder state per stream; many streams may run concurrently over a
 shared immutable model.
@@ -137,6 +139,18 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
         spec = QuantSpec(delta2, delta1, np.array(delta0))
     except ValueError as exc:
         raise FormatError(f"bad header steps: {exc}") from None
+    multiple = 2 ** LEVELS
+    for axis, orig, pad in (("height", orig_h, pad_h), ("width", orig_w, pad_w)):
+        if pad <= 0 or pad % multiple:
+            raise FormatError(f"padded {axis} {pad} is not a positive multiple of {multiple}")
+        if not 1 <= orig <= pad:
+            raise FormatError(f"original {axis} {orig} lies outside [1, {pad}]")
+    for i, (lo, hi) in enumerate(base_ranges):
+        if not 1 <= hi - lo + 1 <= MAX_SYMBOLS:
+            raise FormatError(
+                f"base channel {i} symbol range [{lo}, {hi}] is empty or wider than "
+                f"{MAX_SYMBOLS} symbols"
+            )
     header = Header(
         model_id=model_id, orig_h=orig_h, orig_w=orig_w, pad_h=pad_h, pad_w=pad_w,
         channels=channels, p_thresh=p_thresh, level_mask=CODE_LEVELS[level_code],
@@ -430,6 +444,8 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
         raise ValueError(f"levels must be one of {sorted(LEVEL_CODES)}, got {levels}")
     if not 0.0 < p_thresh <= 1.0:
         raise ValueError(f"p_thresh must lie in (0, 1], got {p_thresh!r}")
+    if not 0.0 <= partial_frac <= 1.0:
+        raise ValueError(f"partial_frac must lie in [0, 1], got {partial_frac!r}")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != model.config.in_channels:
         raise ModelMismatchError(
@@ -485,6 +501,26 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     )
 
 
+def _check_against_model(header: Header, model: FlowModel) -> None:
+    """Header fields whose valid values depend on the model."""
+    if header.channels != model.config.in_channels:
+        raise FormatError(
+            f"header declares {header.channels} image channels, model has "
+            f"{model.config.in_channels}"
+        )
+    # one header count sizes both the base steps and the base symbol ranges
+    if len(header.spec.delta0) != model.base_channels:
+        raise FormatError(
+            f"header declares {len(header.spec.delta0)} base channels, model has "
+            f"{model.base_channels}"
+        )
+    n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w)[0])
+    if header.partial_count > n_z2:
+        raise FormatError(
+            f"partial count {header.partial_count} exceeds the {n_z2} z2 elements"
+        )
+
+
 def decode_latents(model: FlowModel, blob: bytes,
                    levels: float | None = None) -> tuple[LatentSet, Header]:
     """Entropy-decode a bitstream into its quantized latent set.
@@ -499,6 +535,7 @@ def decode_latents(model: FlowModel, blob: bytes,
             f"bitstream was produced by model {header.model_id.hex()}, "
             f"decoding with {model.model_id.hex()}"
         )
+    _check_against_model(header, model)
     if levels is None:
         levels = header.level_mask
     if levels not in LEVEL_CODES:

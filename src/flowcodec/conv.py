@@ -1,30 +1,51 @@
 """2D convolution (cross-correlation) for the tensor engine.
 
 Stride-1, zero-padded 'same' convolution with odd kernel extents, which
-is all the residual conditioning networks here need.  Forward and both
-backward passes reduce to one batched matmul over an im2col view, so the
-heavy lifting stays inside BLAS.
+is all the residual conditioning networks here need.  The forward pass
+and both backward passes are one matmul each over tap-major columns
+(Cin*kh*kw, N*H*W), built by one slice copy per kernel tap into a zeroed
+array whose untouched border stands in for the padding.  No padded copy
+and no strided im2col view is made, and the heavy lifting stays inside
+BLAS.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Array, Tensor, _make, as_tensor
 
 
+def _columns(x: Array, kh: int, kw: int) -> Array:
+    """Tap-major same-padded columns (Cin*kh*kw, N*H*W) of (N,Cin,H,W).
+
+    Row (c, i, j) holds channel c shifted by tap (i - kh//2, j - kw//2),
+    zero where the tap reads outside the image.
+    """
+    n, cin, h, w = x.shape
+    cols = np.zeros((cin, kh, kw, n, h, w), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        dy = i - kh // 2
+        # output rows y0:y1 read input rows y0+dy:y1+dy, both clipped to [0, h)
+        y0, y1 = max(0, -dy), min(h, h - dy)
+        if y0 >= y1:
+            continue
+        for j in range(kw):
+            dx = j - kw // 2
+            x0, x1 = max(0, -dx), min(w, w - dx)
+            if x0 >= x1:
+                continue
+            cols[:, i, j, :, y0:y1, x0:x1] = xt[:, :, y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+    return cols.reshape(cin * kh * kw, n * h * w)
+
+
 def _corr2d(x: Array, kernel: Array) -> Array:
     """Same-padded cross-correlation of (N,Cin,H,W) with (Cout,Cin,kh,kw)."""
-    n, cin, h, w = x.shape
+    n, _, h, w = x.shape
     cout, _, kh, kw = kernel.shape
-    ph, pw = kh // 2, kw // 2
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))  # (N,Cin,H,W,kh,kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, cin * kh * kw)
-    out = cols @ kernel.reshape(cout, cin * kh * kw).T
-    return np.ascontiguousarray(out.reshape(n, h, w, cout).transpose(0, 3, 1, 2))
+    out = kernel.reshape(cout, -1) @ _columns(x, kh, kw)
+    return np.ascontiguousarray(out.reshape(cout, n, h, w).transpose(1, 0, 2, 3))
 
 
 def conv2d(x, kernel, bias=None) -> Tensor:
@@ -38,7 +59,7 @@ def conv2d(x, kernel, bias=None) -> Tensor:
         raise ValueError(
             f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}"
         )
-    n, cin, h, w = x.shape
+    cin = x.shape[1]
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise ValueError(
@@ -61,13 +82,10 @@ def conv2d(x, kernel, bias=None) -> Tensor:
         # d/dx: correlate g with the spatially flipped, channel-transposed kernel
         kflip = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         gx = _corr2d(g, kflip)
-        # d/dkernel: correlate input windows with g
-        ph, pw = kh // 2, kw // 2
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-        windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, cin * kh * kw)
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * h * w, cout)
-        gk = (gmat.T @ cols).reshape(cout, cin, kh, kw)
+        # d/dkernel: g against the input's columns, rebuilt rather than kept
+        # from the forward pass so that the tape holds no column arrays
+        gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+        gk = (gmat @ _columns(x.data, kh, kw).T).reshape(kernel.shape)
         grads = [(x, gx), (kernel, gk)]
         if bias is not None:
             grads.append((bias, g.sum(axis=(0, 2, 3))))

@@ -114,6 +114,26 @@ class TestInspectTruncate:
         assert run("decode", "--model", quick_model_path, "--bitstream", cut,
                    "--out", tmp_path / "o.ppm") == 0
 
+    def test_header_model_mismatch_exit_3(self, quick_model_path, test_card, tmp_path):
+        """A header declaring one base channel fewer than the model has,
+        with a valid CRC, is a format error."""
+        from dataclasses import replace
+
+        import flowcodec.codec as C
+        from flowcodec.entropy import QuantSpec
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        blob = bs.read_bytes()
+        header, start = C._parse_header(blob)
+        spec = header.spec
+        header = replace(header, spec=QuantSpec(spec.delta2, spec.delta1, spec.delta0[:-1]),
+                         base_ranges=header.base_ranges[:-1])
+        bs.write_bytes(C._pack_header(header) + blob[start:])
+        assert run("decode", "--model", quick_model_path, "--bitstream", bs,
+                   "--out", tmp_path / "o.ppm") == 3
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_inspect_header_prefix_exit_3(self, quick_model_path, test_card, tmp_path):
         bs = tmp_path / "c.nfb"
         run("encode", "--model", quick_model_path, "--input", test_card,

@@ -1,7 +1,9 @@
 """Codec: round trips, skip agreement, container rules, progressive modes."""
 
+import math
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,6 +367,45 @@ class TestContainer:
     def test_encoder_rejects_bad_threshold(self, model, image, p_thresh):
         with pytest.raises(ValueError, match="p_thresh"):
             encode_image(model, image, spec_for(model, 1.0), p_thresh=p_thresh)
+
+    @pytest.mark.parametrize("partial_frac", [-0.5, 1.5, float("nan")])
+    def test_encoder_rejects_bad_partial_fraction(self, model, image, partial_frac):
+        """A fraction above 1 would declare more partial elements than z2
+        holds, which the decoder refuses."""
+        with pytest.raises(ValueError, match="partial_frac"):
+            encode_image(model, image, spec_for(model, 1.0), partial_frac=partial_frac)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("channels", 1, "image channels"),
+        ("base_channels", None, "base channels"),
+        ("pad_h", 32 + 3, "padded height"),
+        ("pad_w", 0, "padded width"),
+        ("orig_h", 0, "original height"),
+        ("orig_w", 33, "original width"),
+        ("partial_count", None, "partial count"),
+        ("base_ranges", "reversed", "symbol range"),
+        ("base_ranges", "too wide", "symbol range"),
+    ])
+    def test_header_fields_checked(self, model, image, field, value, match):
+        """Header fields that disagree with the model or with each other are
+        format errors even when the header CRC is recomputed."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        if field == "base_channels":  # drop the last channel's step and range
+            spec = header.spec
+            header = replace(header, spec=QuantSpec(spec.delta2, spec.delta1, spec.delta0[:-1]),
+                             base_ranges=header.base_ranges[:-1])
+        elif field == "partial_count":  # one past the z2 element count
+            n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w)[0])
+            header = replace(header, partial_count=n_z2 + 1)
+        elif field == "base_ranges":  # first channel's range reversed or widest
+            lo, hi = header.base_ranges[0]
+            first = (hi + 1, lo) if value == "reversed" else (-32768, 32767)
+            header = replace(header, base_ranges=[first] + header.base_ranges[1:])
+        else:
+            header = replace(header, **{field: value})
+        with pytest.raises(FormatError, match=match):
+            decode_image(model, C._pack_header(header) + blob[start:])
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):

@@ -48,6 +48,27 @@ class TestNaiveOracleSweep:
             out = conv2d(Tensor(x), Tensor(k), Tensor(b)).data
             assert np.max(np.abs(out - naive_conv2d(x, k, b))) < 1e-12
 
+    def test_kernel_wider_than_image(self):
+        """Kernels of 7 on extents of 1-3: some taps fall wholly outside."""
+        rng = np.random.default_rng(15)
+        for h in (1, 2, 3):
+            for w in (1, 2, 3):
+                for kh, kw in ((7, 7), (7, 1), (3, 7)):
+                    x = rng.normal(size=(2, 2, h, w))
+                    k = rng.normal(size=(3, 2, kh, kw))
+                    b = rng.normal(size=3)
+                    out = conv2d(Tensor(x), Tensor(k), Tensor(b)).data
+                    assert np.max(np.abs(out - naive_conv2d(x, k, b))) < 1e-12
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+        k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        out = conv2d(Tensor(x), Tensor(k)).data
+        assert out.dtype == np.float32
+        assert out.flags.c_contiguous
+        assert np.max(np.abs(out - naive_conv2d(x.astype(np.float64), k))) < 1e-4
+
 
 class TestGradients:
     def test_finite_difference_all_arguments(self):
@@ -61,6 +82,17 @@ class TestGradients:
             return (out * out).mean()
 
         assert gradcheck(build, [x, k, b], h=1e-5, floor=1e-6) < 1e-4
+
+    def test_kernel_wider_than_image(self):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(2, 2, 2, 3)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 2, 7, 7)) * 0.3, requires_grad=True)
+
+        def build():
+            out = conv2d(x, k)
+            return (out * out).mean()
+
+        assert gradcheck(build, [x, k], h=1e-5, floor=1e-6) < 1e-4
 
     def test_no_bias_path(self):
         rng = np.random.default_rng(13)
