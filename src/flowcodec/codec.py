@@ -1,13 +1,13 @@
 """Entropy coding of latents and the bitstream container.
 
-Encoding runs the decoder's own conditioning chain: the base latents go
-first under the per-channel prior, then each conditional level is coded
-(or skipped) against (mean, scale) computed from features rebuilt out of
-the already-quantized deeper latents.  An element is skipped exactly
-when the bin mass at its conditional mean symbol exceeds the threshold,
-in which case both sides substitute that mean symbol; encoder and
-decoder therefore agree on every skip decision by construction, and the
-coder path always evaluates the models in float64.
+Encoder and decoder walk one conditioning chain (`DecoderChain`): the
+base latents go first under the per-channel prior, then each conditional
+level is coded (or skipped) against (mean, scale) from features rebuilt
+out of the already-quantized deeper latents.  An element is skipped
+exactly when the bin mass at its conditional mean symbol exceeds the
+threshold, in which case both sides substitute that mean symbol; encoder
+and decoder therefore agree on every skip decision by construction, and
+the coder path always evaluates the models in float64.
 
 The base latents are coded under one frequency table per channel.  The
 conditional levels build no tables: each coded symbol's span comes from
@@ -39,7 +39,7 @@ import numpy as np
 
 from .entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from .errors import FormatError, ModelMismatchError, NumericError
-from .flow import LEVELS, FlowModel, LatentSet
+from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
 from .quantize import grid_index, round_to_grid
 from .rangecoder import (
     MAX_SYMBOLS, TOTAL, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
@@ -171,6 +171,8 @@ def _split_sections(blob: bytes, header: Header, start: int) -> dict[str, bytes]
             raise FormatError(f"bitstream truncated inside section {level}")
         sections[name] = part
         pos += n
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} trailing bytes after the last section")
     return sections
 
 
@@ -217,15 +219,6 @@ def pad_to_multiple(image: np.ndarray, multiple: int) -> np.ndarray:
 
 
 # -- conditioning helpers ------------------------------------------------------------
-
-
-def _conditionals(model: FlowModel, level: int, zs: list) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, sigma) for `level`, from features rebuilt off quantized deeper
-    latents; float64, identical on encoder and decoder."""
-    with no_grad():
-        h = model.reconstruct_features(level, zs)
-        mu, sigma = model.conditioning_params(level, h)
-    return mu.data, sigma.data
 
 
 def _skip_mask(mu: np.ndarray, sigma: np.ndarray, delta: float, p_thresh: float) -> np.ndarray:
@@ -304,8 +297,7 @@ def _base_tables(model: FlowModel, spec: QuantSpec,
     values = np.zeros((c, n_max), dtype=np.float64)
     for i, (lo, _) in enumerate(ranges):
         values[i] = (lo + np.arange(n_max, dtype=np.float64)) * spec.delta0[i]
-    with no_grad():
-        probs = model.prior.bin_prob(Tensor(values), spec.delta0).data
+    probs = model.prior.bin_prob(Tensor(values), spec.delta0).data
     return [build_freq_table(probs[i, : widths[i]], ranges[i][0]) for i in range(c)]
 
 
@@ -431,6 +423,7 @@ def _decode_conditional(payload: bytes | None, mu: np.ndarray, sigma: np.ndarray
 # -- public encode/decode --------------------------------------------------------------
 
 
+@no_grad()
 def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
                  levels: float = 3.0, p_thresh: float = P_THRESH_DEFAULT,
                  partial_frac: float = PARTIAL_FRACTION_DEFAULT) -> bytes:
@@ -460,8 +453,7 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     orig_h, orig_w = image.shape[1], image.shape[2]
     padded = pad_to_multiple(image, 2 ** LEVELS)
 
-    with no_grad():
-        zs, _ = model.forward(Tensor(padded[None]))
+    zs, _ = model.forward(Tensor(padded[None]))
     z2 = round_to_grid(zs[0].data, spec.delta2)
     z1 = round_to_grid(zs[1].data, spec.delta1)
     z0 = round_to_grid(zs[2].data, spec.delta0[None, :, None, None])
@@ -472,21 +464,19 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
 
     n_z2 = z2[0].size
     partial_count = int(np.ceil(partial_frac * n_z2))
-    z1_eff, z2_eff = z1, z2
     if levels >= 2.0:
-        mu1, sig1 = _conditionals(model, 1, [None, None, z0])
-        payload, z1_eff, _ = _encode_conditional(z1, mu1, sig1, spec.delta1,
-                                                 p_thresh, (0, z1[0].size))
-        sections["z1"] = payload
+        chain = DecoderChain(model, z0)
+        mu1, sig1 = (t.data for t in chain.conditionals())
+        sections["z1"], z1_eff, _ = _encode_conditional(z1, mu1, sig1, spec.delta1,
+                                                        p_thresh, (0, z1[0].size))
     if levels >= 2.5:
-        mu2, sig2 = _conditionals(model, 0, [None, z1_eff, z0])
-        payload_a, z2_eff, _ = _encode_conditional(z2, mu2, sig2, spec.delta2,
-                                                   p_thresh, (0, partial_count))
-        sections["z2a"] = payload_a
+        chain.invert(z1_eff)
+        mu2, sig2 = (t.data for t in chain.conditionals())
+        sections["z2a"], z2_eff, _ = _encode_conditional(z2, mu2, sig2, spec.delta2,
+                                                         p_thresh, (0, partial_count))
         if levels >= 3.0:
-            payload_b, z2_eff, _ = _encode_conditional(z2_eff, mu2, sig2, spec.delta2,
-                                                       p_thresh, (partial_count, n_z2))
-            sections["z2b"] = payload_b
+            sections["z2b"], _, _ = _encode_conditional(z2_eff, mu2, sig2, spec.delta2,
+                                                        p_thresh, (partial_count, n_z2))
 
     header = Header(
         model_id=model.model_id, orig_h=orig_h, orig_w=orig_w,
@@ -521,14 +511,11 @@ def _check_against_model(header: Header, model: FlowModel) -> None:
         )
 
 
-def decode_latents(model: FlowModel, blob: bytes,
-                   levels: float | None = None) -> tuple[LatentSet, Header]:
-    """Entropy-decode a bitstream into its quantized latent set.
-
-    Latents of levels beyond `levels` (or beyond what the stream holds)
-    are filled with their conditional mean symbols, exactly as the
-    sampling path defines.
-    """
+@no_grad()
+def _decode(model: FlowModel, blob: bytes,
+            levels: float | None) -> tuple[LatentSet, Header, DecoderChain]:
+    """Entropy-decode the latents up the decoder chain; the returned chain
+    has inverted every level but the finest, which finishes the image."""
     header, start = _parse_header(blob)
     if header.model_id != model.model_id:
         raise ModelMismatchError(
@@ -552,16 +539,17 @@ def decode_latents(model: FlowModel, blob: bytes,
     z0 = _decode_base(sections["z0"], header, tables, shapes[2])
 
     # level z1
-    mu1, sig1 = _conditionals(model, 1, [None, None, z0])
+    chain = DecoderChain(model, z0)
+    mu1, sig1 = (t.data for t in chain.conditionals())
     z1 = np.zeros((1,) + shapes[1], dtype=np.float64)
     flat1 = z1.reshape(-1)
     payload1 = sections["z1"] if levels >= 2.0 else None
     _decode_conditional(payload1, mu1, sig1, spec.delta1, header.p_thresh,
                         (0, flat1.size), flat1, "section z1")
-    z1 = flat1.reshape((1,) + shapes[1])
 
     # level z2, possibly split into a transmitted prefix and a mean tail
-    mu2, sig2 = _conditionals(model, 0, [None, z1, z0])
+    chain.invert(z1)
+    mu2, sig2 = (t.data for t in chain.conditionals())
     z2 = np.zeros((1,) + shapes[0], dtype=np.float64)
     flat2 = z2.reshape(-1)
     cut = header.partial_count
@@ -571,16 +559,26 @@ def decode_latents(model: FlowModel, blob: bytes,
                         (0, cut), flat2, "section z2 (partial)")
     _decode_conditional(payload_b, mu2, sig2, spec.delta2, header.p_thresh,
                         (cut, flat2.size), flat2, "section z2")
-    z2 = flat2.reshape((1,) + shapes[0])
 
-    return LatentSet(z0=z0, z1=z1, z2=z2), header
+    return LatentSet(z0=z0, z1=z1, z2=z2), header, chain
 
 
+def decode_latents(model: FlowModel, blob: bytes,
+                   levels: float | None = None) -> tuple[LatentSet, Header]:
+    """Entropy-decode a bitstream into its quantized latent set.
+
+    Latents of levels beyond `levels` (or beyond what the stream holds)
+    are filled with their conditional mean symbols, exactly as the
+    sampling path defines.
+    """
+    return _decode(model, blob, levels)[:2]
+
+
+@no_grad()
 def decode_image(model: FlowModel, blob: bytes, levels: float | None = None) -> np.ndarray:
     """Decompress to a (C,H,W) float image at the original extents."""
-    latents, header = decode_latents(model, blob, levels)
-    with no_grad():
-        x = model.inverse([Tensor(z) for z in latents.levels()])
+    latents, header, chain = _decode(model, blob, levels)
+    x = chain.invert(latents.z2)
     return x.data[0, :, : header.orig_h, : header.orig_w]
 
 

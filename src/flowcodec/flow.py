@@ -19,8 +19,8 @@ zero, so a freshly built model is the identity map with unit-scale
 conditionals.
 
 The transform computes in float64 for every model: `forward` promotes
-the image and `inverse` the latents, so a float32 model stores its
-parameters at 32 bits but rounds like a float64 one.  Additive
+the image, `inverse` and `DecoderChain` the latents, so a float32 model
+stores its parameters at 32 bits but rounds like a float64 one.  Additive
 couplings on raw [0, 255] pixels lose about one float32 ulp per
 coupling, and the inverse's conditioners, fed inputs an ulp away from
 the forward's, would compound that across the six couplings.
@@ -42,16 +42,13 @@ from . import tensor as T
 from .entropy import FactorizedPrior
 from .errors import FormatError
 from .conv import conv2d
-from .params import ParamStore
+from .params import _CODE_DTYPES, _DTYPE_CODES, ParamStore
 from .tensor import Tensor
 
 MODEL_MAGIC = b"NFC1"
 MODEL_VERSION = 1
 LEVELS = 3
 LOG_SCALE_BOUND = 7.0
-
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.float32, 1: np.float64}
 
 
 @dataclass
@@ -84,10 +81,6 @@ class LatentSet:
     z0: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-
-    def levels(self) -> list[np.ndarray]:
-        """Latents in network level order (z2 first, z0 last)."""
-        return [self.z2, self.z1, self.z0]
 
     @classmethod
     def from_levels(cls, zs: list) -> "LatentSet":
@@ -342,19 +335,10 @@ class FlowModel:
             h = self.levels[i].inverse(T.astype(zs[i], np.float64), h)
         return h
 
-    def reconstruct_features(self, level: int, zs: list) -> Tensor:
-        """Continued features entering the conditioning of `level`,
-        recomputed by inverting every deeper level on (quantized) latents.
-
-        Identical on encoder and decoder by construction: both run this
-        exact code on the same latent values.
-        """
-        if not 0 <= level < LEVELS - 1:
-            raise ValueError(f"level {level} has no factor-out conditioning")
-        h: Tensor | None = None
-        for i in range(LEVELS - 1, level, -1):
-            h = self.levels[i].inverse(T.astype(zs[i], np.float64), h)
-        return h
+    def reconstruct_features(self, level: int, z, h: Tensor | None) -> Tensor:
+        """One `DecoderChain` step: `level`'s inverse on its latent z and the
+        features h rebuilt below it (None at the base); the image at level 0."""
+        return self.levels[level].inverse(T.astype(z, np.float64), h)
 
     def conditioning_params(self, level: int, h: Tensor) -> tuple[Tensor, Tensor]:
         factor = self.levels[level].factor
@@ -409,6 +393,8 @@ class FlowModel:
             raise FormatError(f"unsupported model version {version}")
         if levels != LEVELS:
             raise FormatError(f"model declares {levels} levels; this build uses {LEVELS}")
+        if dtype_code not in _CODE_DTYPES:
+            raise FormatError(f"unknown model dtype code {dtype_code}")
         header_len = 4 + struct.calcsize("<BBBBBHHQBBd")
         (blob_len,) = struct.unpack_from("<Q", raw, header_len)
         blob = raw[header_len + 8 : header_len + 8 + blob_len]
@@ -417,7 +403,7 @@ class FlowModel:
         config = FlowConfig(
             in_channels=in_channels, steps=steps, blocks=blocks, hidden=hidden,
             seed=seed, prior_width=pw, prior_depth=pd, prior_init_scale=pscale,
-            dtype="float32" if dtype_code == 0 else "float64",
+            dtype=_CODE_DTYPES[dtype_code].name,
         )
         model = cls(config)
         model.params.load_bytes(blob)
@@ -427,3 +413,32 @@ class FlowModel:
     def load(cls, path) -> "FlowModel":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+class DecoderChain:
+    """The decoder's walk from the base latent up to the image:
+
+        z0 -> h1 -> (mu1, sigma1) -> z1 -> h2 -> (mu2, sigma2) -> z2 -> x
+
+    `conditionals()` gives (mean, scale) of the next latent from the
+    features rebuilt so far and `invert(z)` inverts its level, so a caller
+    may stop after any level.  Encoder, decoder and the trainer's sampling
+    path all walk this chain, so their conditionals agree bit for bit on
+    equal latents.
+    """
+
+    def __init__(self, model: FlowModel, z0):
+        self.model = model
+        self.level = LEVELS - 2  # the level whose latent `invert` takes next
+        self.features = model.reconstruct_features(LEVELS - 1, z0, None)
+
+    def conditionals(self) -> tuple[Tensor, Tensor]:
+        """(mu, sigma) of the latent that `invert` takes next."""
+        return self.model.conditioning_params(self.level, self.features)
+
+    def invert(self, z) -> Tensor:
+        """Invert the next level; returns its continued features, or the
+        float64 image once the finest level is inverted."""
+        self.features = self.model.reconstruct_features(self.level, z, self.features)
+        self.level -= 1
+        return self.features

@@ -54,13 +54,6 @@ def grid_index(z: np.ndarray, step) -> np.ndarray:
     return np.round(np.asarray(z) / np.asarray(step)).astype(np.int64)
 
 
-def detached_round(z: Tensor) -> Tensor:
-    """z + stop_gradient(round(z) - z): same forward and backward as the
-    straight-through round; used to cross-check the estimator contract."""
-    residual = np.round(z.data) - z.data
-    return T.add(z, Tensor(residual))
-
-
 def _step_value(step) -> float:
     if isinstance(step, Tensor):
         return float(np.min(step.data))

@@ -6,9 +6,9 @@ The RD objective couples three terms per batch: total code length of the
 dither-quantized latents (bits per image), the squared error of the full
 reconstruction, and the squared error of the sampling-path
 reconstruction that replaces all conditional latents by their mean
-symbols.  Conditioning (mean, scale) during training comes from the
-forward features, which keeps the graph cheap; the coder's
-decoder-simulated conditioning is exercised separately in the codec.
+symbols.  The rate term's conditioning (mean, scale) comes from the
+forward features, which keeps the graph cheap; the sampling path walks
+the decoder's own chain (`DecoderChain`), as a one-level decode does.
 
 Data loading may be concurrent; the optimization step owns the
 parameters exclusively; evaluation helpers are read-only.
@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .entropy import QuantSpec, latent_rate_bits, mean_symbol
 from .errors import NumericError
-from .flow import FlowModel
+from .flow import LEVELS, DecoderChain, FlowModel
 from .quantize import draw_noise, round_to_grid, universal_quantize
 from .tensor import Tensor, no_grad
 
@@ -138,8 +138,11 @@ def psnr(x: np.ndarray, y: np.ndarray, peak: float = 255.0) -> float:
     """10 log10(peak^2 / mse), capped at 99 dB for identical inputs."""
     if np.asarray(x).shape != np.asarray(y).shape:
         raise ValueError(f"psnr: shape mismatch {np.shape(x)} vs {np.shape(y)}")
-    err = mse(x, y)
-    if err == 0.0:
+    return _psnr_from_mse(mse(x, y), peak)
+
+
+def _psnr_from_mse(err: float, peak: float) -> float:
+    if err <= 0.0:
         return PSNR_CAP_DB
     return float(min(10.0 * np.log10(peak * peak / err), PSNR_CAP_DB))
 
@@ -186,9 +189,9 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     rounding, mean symbols) and for the smooth gradient-check variant.
 
     The rate term conditions on the forward features (cheap); the
-    sampling path is sequential exactly like a one-level decode: each
-    conditional mean comes from features rebuilt off the quantized base
-    latent and the already-substituted shallower level.
+    sampling path walks the decoder chain exactly like a one-level decode:
+    each conditional mean comes from features rebuilt off the quantized
+    base latent and the already-substituted deeper levels.
     """
     x = Tensor(batch.astype(model.dtype))
     zs, hs = model.forward(x)
@@ -205,13 +208,9 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     )
     x_full = model.inverse([z2_hat, z1_hat, z0_hat])
 
-    h1_hat = model.levels[2].inverse(z0_hat, None)
-    mu1_s, _ = model.conditioning_params(1, h1_hat)
-    z1_tilde = substitute_fn(mu1_s, d)
-    h2_hat = model.levels[1].inverse(z1_tilde, h1_hat)
-    mu2_s, _ = model.conditioning_params(0, h2_hat)
-    z2_tilde = substitute_fn(mu2_s, d)
-    x_sampled = model.levels[0].inverse(z2_tilde, h2_hat)
+    chain = DecoderChain(model, z0_hat)
+    for _ in range(LEVELS - 1):  # z1, then z2, stand in as substituted means
+        x_sampled = chain.invert(substitute_fn(chain.conditionals()[0], d))
 
     err_full = T.reduce_mean(T.mul(T.sub(x, x_full), T.sub(x, x_full)))
     err_sampled = T.reduce_mean(T.mul(T.sub(x, x_sampled), T.sub(x, x_sampled)))
@@ -236,14 +235,8 @@ def rd_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
         "rate": rate.item(),
         "distortion": err_full.item() + err_sampled.item(),
         "mse_full": err_full.item(),
-        "psnr": psnr_from_mse(err_full.item(), cfg.pixel_scale),
+        "psnr": _psnr_from_mse(err_full.item(), cfg.pixel_scale),
     }
-
-
-def psnr_from_mse(err: float, peak: float) -> float:
-    if err <= 0.0:
-        return PSNR_CAP_DB
-    return float(min(10.0 * np.log10(peak * peak / err), PSNR_CAP_DB))
 
 
 # -- corpus ------------------------------------------------------------------------

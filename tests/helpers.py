@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowcodec.tensor import Tensor
+import flowcodec.tensor as T
+from flowcodec.tensor import Tensor, no_grad
 
 
 def make_desk_corpus(rng: np.random.Generator, n: int, size: int = 32) -> list[np.ndarray]:
@@ -138,3 +139,25 @@ def gradcheck(build_loss, params: list[Tensor], h: float = 1e-5, floor: float = 
         fd = fd_gradient(lambda: build_loss().item(), p, h=h)
         worst = max(worst, rel_error(g, fd, floor=floor))
     return worst
+
+
+def detached_round(z: Tensor) -> Tensor:
+    """z + stop_gradient(round(z) - z): same forward and backward as the
+    straight-through round; used to cross-check the estimator contract."""
+    residual = np.round(z.data) - z.data
+    return T.add(z, Tensor(residual))
+
+
+def reference_conditionals(model, level: int, zs: list) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, sigma) arrays of `level` ([z2, z1, z0] order), from features
+    rebuilt by inverting every deeper level on its latent in `zs`.
+
+    Written from the levels' inverses directly, as the oracle the codec's
+    decoder chain is checked against.
+    """
+    with no_grad():
+        h = None
+        for i in range(len(model.levels) - 1, level, -1):
+            h = model.levels[i].inverse(Tensor(np.asarray(zs[i], dtype=np.float64)), h)
+        mu, sigma = model.conditioning_params(level, h)
+    return mu.data, sigma.data

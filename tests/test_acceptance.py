@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from helpers import (
     condition_for_gradcheck,
+    detached_round,
     fd_floor,
     gradcheck,
     make_desk_corpus,
     perturb_model,
+    reference_conditionals,
 )
 
 import flowcodec.codec as C
@@ -29,7 +31,7 @@ from flowcodec.entropy import (
     skip_boundary_sigma,
 )
 from flowcodec.flow import FlowConfig, FlowModel
-from flowcodec.quantize import detached_round, round_to_grid, universal_quantize
+from flowcodec.quantize import round_to_grid, universal_quantize
 from flowcodec.rangecoder import RangeDecoder, RangeEncoder, build_freq_table
 from flowcodec.tensor import Tensor, no_grad
 from flowcodec.training import TrainConfig, bpp, finetune_deltas, psnr, rd_terms, train
@@ -163,8 +165,8 @@ def test_criterion_3_coder_exactness_and_efficiency(desk_setup):
         z0 = round_to_grid(zs[2].data, spec.delta0[None, :, None, None])
         z1 = round_to_grid(zs[1].data, spec.delta1)
         z2 = round_to_grid(zs[0].data, spec.delta2)
-        mu1, s1 = C._conditionals(model, 1, [None, None, z0])
-        mu2, s2 = C._conditionals(model, 0, [None, z1, z0])
+        mu1, s1 = reference_conditionals(model, 1, [None, None, z0])
+        mu2, s2 = reference_conditionals(model, 0, [None, z1, z0])
         with no_grad():
             ideal0 = float(entropy_bits(
                 model.prior.bin_prob(channels_first(Tensor(z0)), spec.delta0)
@@ -284,12 +286,12 @@ def test_criterion_7_threshold_skip_agreement(desk_setup):
             zs, _ = model.forward(Tensor(img[None].astype(np.float64)))
         z0 = round_to_grid(zs[2].data, spec.delta0[None, :, None, None])
         assert np.array_equal(latents.z0, z0)
-        mu1, s1 = C._conditionals(model, 1, [None, None, z0])
+        mu1, s1 = reference_conditionals(model, 1, [None, None, z0])
         skip1 = C._skip_mask(mu1, s1, spec.delta1, header.p_thresh)
         z1 = np.where(skip1, mean_symbol(mu1, spec.delta1),
                       round_to_grid(zs[1].data, spec.delta1))
         assert np.array_equal(latents.z1, z1)
-        mu2, s2 = C._conditionals(model, 0, [None, z1, z0])
+        mu2, s2 = reference_conditionals(model, 0, [None, z1, z0])
         skip2 = C._skip_mask(mu2, s2, spec.delta2, header.p_thresh)
         z2 = np.where(skip2, mean_symbol(mu2, spec.delta2),
                       round_to_grid(zs[0].data, spec.delta2))

@@ -141,6 +141,15 @@ class TestInspectTruncate:
         bs.write_bytes(bs.read_bytes()[:30])
         assert run("inspect", "--bitstream", bs) == 3
 
+    def test_trailing_bytes_exit_3(self, quick_model_path, test_card, tmp_path):
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        bs.write_bytes(bs.read_bytes() + b"xx")
+        assert run("decode", "--model", quick_model_path, "--bitstream", bs,
+                   "--out", tmp_path / "o.ppm") == 3
+        assert run("inspect", "--bitstream", bs) == 3
+
     def test_truncate_bad_level(self, quick_model_path, test_card, tmp_path):
         bs = tmp_path / "c.nfb"
         run("encode", "--model", quick_model_path, "--input", test_card,

@@ -3,11 +3,12 @@
 import math
 import struct
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import perturb_model
+from helpers import perturb_model, reference_conditionals
 
 import flowcodec.codec as C
 from flowcodec.codec import (
@@ -20,7 +21,7 @@ from flowcodec.codec import (
 )
 from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol, skip_boundary_sigma
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
-from flowcodec.flow import FlowConfig, FlowModel
+from flowcodec.flow import FlowConfig, FlowLevel, FlowModel
 from flowcodec.quantize import round_to_grid
 from flowcodec.rangecoder import TOTAL, RangeDecoder, RangeEncoder
 from flowcodec.tensor import Tensor, no_grad
@@ -77,17 +78,34 @@ class TestRoundTrip:
         assert np.array_equal(latents.z0, z0_expected)
 
         # z1: coded elements match the grid, skipped ones match the mean symbol
-        mu1, sig1 = C._conditionals(model, 1, [None, None, z0_expected])
+        mu1, sig1 = reference_conditionals(model, 1, [None, None, z0_expected])
         skip1 = C._skip_mask(mu1, sig1, spec.delta1, header.p_thresh)
         z1_expected = np.where(skip1, mean_symbol(mu1, spec.delta1),
                                round_to_grid(zs[1].data, spec.delta1))
         assert np.array_equal(latents.z1, z1_expected)
 
-        mu2, sig2 = C._conditionals(model, 0, [None, z1_expected, z0_expected])
+        mu2, sig2 = reference_conditionals(model, 0, [None, z1_expected, z0_expected])
         skip2 = C._skip_mask(mu2, sig2, spec.delta2, header.p_thresh)
         z2_expected = np.where(skip2, mean_symbol(mu2, spec.delta2),
                                round_to_grid(zs[0].data, spec.delta2))
         assert np.array_equal(latents.z2, z2_expected)
+
+    def test_each_level_inverted_once(self, model, image, monkeypatch):
+        """The encoder stops after coding z2, and the decoder finishes the
+        image from the features it rebuilt, so no level is inverted twice."""
+        calls = Counter()
+        inverse = FlowLevel.inverse
+
+        def counted(level, z, h):
+            calls[model.levels.index(level)] += 1
+            return inverse(level, z, h)
+
+        monkeypatch.setattr(FlowLevel, "inverse", counted)
+        blob = encode_image(model, image, spec_for(model, 1.0), levels=3.0)
+        assert calls == {2: 1, 1: 1}
+        calls.clear()
+        decode_image(model, blob)
+        assert calls == {2: 1, 1: 1, 0: 1}
 
     def test_decode_deterministic(self, model, image):
         blob = encode_image(model, image, spec_for(model, 0.5))
@@ -410,3 +428,12 @@ class TestContainer:
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):
             inspect_bitstream(b"JUNKJUNKJUNKJUNK" * 8)
+
+    def test_trailing_bytes_rejected(self, model, image):
+        blob = encode_image(model, image[:, :16, :16], spec_for(model, 1.0)) + b"xx"
+        with pytest.raises(FormatError, match="2 trailing bytes"):
+            decode_image(model, blob)
+        with pytest.raises(FormatError, match="trailing"):
+            inspect_bitstream(blob)
+        with pytest.raises(FormatError, match="trailing"):
+            truncate_bitstream(blob, 2.0)

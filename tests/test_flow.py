@@ -1,12 +1,14 @@
 """Flow model: bijectivity, channel bookkeeping, conditioning, model files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import perturb_model
 
 import flowcodec.tensor as T
 from flowcodec.errors import FormatError
-from flowcodec.flow import AdditiveCoupling, FlowConfig, FlowModel, LatentSet
+from flowcodec.flow import AdditiveCoupling, DecoderChain, FlowConfig, FlowModel, LatentSet
 from flowcodec.params import ParamStore
 from flowcodec.tensor import Tensor
 
@@ -182,27 +184,30 @@ class TestConditioning:
 
 
 class TestReconstructFeatures:
+    """Features the decoder chain rebuilds from latents."""
+
     def test_matches_forward_features_on_unquantized_latents(self, model):
         x = Tensor(np.random.default_rng(86).uniform(0, 255, size=(1, 3, 16, 16)))
         zs, hs = model.forward(x)
-        for level in (0, 1):
-            rebuilt = model.reconstruct_features(level, [z.data for z in zs])
-            assert np.max(np.abs(rebuilt.data - hs[level].data)) < 1e-8
+        chain = DecoderChain(model, zs[2].data)
+        for level in (1, 0):
+            assert np.max(np.abs(chain.features.data - hs[level].data)) < 1e-8
+            chain.invert(zs[level].data)
 
     def test_bit_identical_across_calls(self, model):
         zs = [np.random.default_rng(87).normal(size=(1,) + s)
               for s in model.latent_shapes(16, 16)]
-        a = model.reconstruct_features(0, zs).data
-        b = model.reconstruct_features(0, zs).data
+        a = DecoderChain(model, zs[2]).invert(zs[1]).data
+        b = DecoderChain(model, zs[2]).invert(zs[1]).data
         assert np.array_equal(a, b)
 
     def test_sensitive_to_base_latent_change(self, model):
         zs = [np.random.default_rng(88).normal(size=(1,) + s)
               for s in model.latent_shapes(16, 16)]
-        h1 = model.reconstruct_features(1, zs).data
+        h1 = DecoderChain(model, zs[2]).features.data
         zs[2] = zs[2].copy()
         zs[2][0, 0, 0, 0] += 1.0
-        h1b = model.reconstruct_features(1, zs).data
+        h1b = DecoderChain(model, zs[2]).features.data
         assert not np.array_equal(h1, h1b)
 
 
@@ -238,6 +243,14 @@ class TestModelFile:
         raw[60] ^= 0xFF
         with pytest.raises(FormatError, match="hash"):
             FlowModel.from_bytes(bytes(raw))
+
+    def test_unknown_dtype_code_rejected(self, model):
+        """A dtype code outside the parameter store's table is a format
+        error even when the content hash is recomputed."""
+        body = bytearray(model.to_bytes()[:-32])
+        body[5] = 7  # after magic and version
+        with pytest.raises(FormatError, match="dtype code 7"):
+            FlowModel.from_bytes(bytes(body) + hashlib.sha256(body).digest())
 
     def test_bad_magic_rejected(self):
         with pytest.raises(FormatError, match="magic"):

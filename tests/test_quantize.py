@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from helpers import detached_round
 
 import flowcodec.tensor as T
 from flowcodec.quantize import (
-    detached_round,
     draw_noise,
     grid_index,
     round_to_grid,

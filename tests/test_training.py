@@ -6,7 +6,7 @@ from helpers import gradcheck, perturb_model
 
 import flowcodec.tensor as T
 from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol
-from flowcodec.flow import FlowConfig, FlowModel
+from flowcodec.flow import DecoderChain, FlowConfig, FlowModel
 from flowcodec.tensor import Tensor
 from flowcodec.training import (
     Adam,
@@ -324,8 +324,7 @@ class TestConditioningDivergence:
             zs, hs = model.forward(Tensor(batch))
             mu_fwd, _ = model.conditioning_params(1, hs[1])
             z0_hat = round_to_grid(zs[2].data, 1.0)
-            h1_hat = model.reconstruct_features(1, [None, None, z0_hat])
-            mu_rec, _ = model.conditioning_params(1, h1_hat)
+            mu_rec, _ = DecoderChain(model, z0_hat).conditionals()
 
         gap = float(np.mean(np.abs(mu_fwd.data - mu_rec.data)))
         spread = float(np.std(mu_fwd.data)) + 1e-9
