@@ -9,12 +9,27 @@ threshold, in which case both sides substitute that mean symbol; encoder
 and decoder therefore agree on every skip decision by construction, and
 the coder path always evaluates the models in float64.
 
-The base latents are coded under one frequency table per channel.  The
-conditional levels build no tables: each coded symbol's span comes from
-two edges of a quantized logistic CDF computed on demand
-(`_QuantizedLogistic`), and the decoder bisects that CDF for the symbol.
+Every section is coded the same way: each symbol gets one integer
+`FrequencyTable` from `build_freq_table`, and `rangecoder.encode_symbols`
+/ `decode_symbols` code the whole slice in one loop.  The base latents
+use one table per channel under the per-channel prior.  A conditional
+symbol k is coded as j = k - round(mu/delta), negated when the offset
+f = mu/delta - round(mu/delta) is negative, so that a negative offset
+uses the mirrored table of |f|.  The table comes from the symbol's cell
+on a fixed (offset, scale) grid: the scale s = sigma/delta is located by
+`np.searchsorted` among geometric cell edges at most 1.15x apart
+(clamped below 1/32 and above 1365, where the window reaches its
+8191-symbol cap), and |f| is rounded to a step of about s/8, clamped to
+[1/32, 1/2].  A cell's table depends on its index alone, so it is built
+once, through `logistic_bin_prob` and `build_freq_table`, and cached for
+the life of the process for every model.  With every one of the 477
+cells built the cache holds 0.66 MB of uint16 starts, 0.79 MB with its
+Python objects.  Two threads that miss on the same cell both build the
+identical immutable table and `dict.setdefault` keeps one of them, so
+the race costs a duplicate build and nothing else.  Skip decisions use
+the exact `logistic_bin_prob`, not the grid.
 
-Container layout (`NFB1`, version 2, little-endian): a CRC-protected
+Container layout (`NFB1`, version 3, little-endian): a CRC-protected
 header (model id, original and padded extents, quantization steps,
 threshold, level mask, per-channel base symbol ranges, section byte
 lengths) followed by the payload sections z0, z1, z2a, z2b.  The finest
@@ -41,23 +56,22 @@ from .entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from .errors import FormatError, ModelMismatchError, NumericError
 from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
 from .quantize import grid_index, round_to_grid
-from .rangecoder import (
-    MAX_SYMBOLS, TOTAL, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
+from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: trace hook names)
+    MAX_SYMBOLS, RAW_MAX, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
+    decode_symbols, encode_symbols,
 )
 from .tensor import Tensor, no_grad
 
 BITSTREAM_MAGIC = b"NFB1"
-BITSTREAM_VERSION = 2
+BITSTREAM_VERSION = 3
 P_THRESH_DEFAULT = 0.9
+MAX_PIXELS = 1 << 24  # padded pixels per image, bounding a decode's allocations
 PARTIAL_FRACTION_DEFAULT = 0.5
 
 LEVEL_CODES = {1.0: 10, 2.0: 20, 2.5: 25, 3.0: 30}
 CODE_LEVELS = {v: k for k, v in LEVEL_CODES.items()}
 
 _SECTION_NAMES = ("z0", "z1", "z2a", "z2b")
-
-_ESCAPE_CUM = TOTAL - 1  # conditional escape slot: [TOTAL - 1, TOTAL)
-
 
 # -- container -----------------------------------------------------------------
 
@@ -145,6 +159,10 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
             raise FormatError(f"padded {axis} {pad} is not a positive multiple of {multiple}")
         if not 1 <= orig <= pad:
             raise FormatError(f"original {axis} {orig} lies outside [1, {pad}]")
+    if pad_h * pad_w > MAX_PIXELS:
+        raise FormatError(
+            f"padded extents {pad_h}x{pad_w} exceed the {MAX_PIXELS}-pixel limit"
+        )
     for i, (lo, hi) in enumerate(base_ranges):
         if not 1 <= hi - lo + 1 <= MAX_SYMBOLS:
             raise FormatError(
@@ -231,54 +249,60 @@ def _skip_mask(mu: np.ndarray, sigma: np.ndarray, delta: float, p_thresh: float)
     return p_mean > p_thresh
 
 
-class _QuantizedLogistic:
-    """Integer CDF of one discrete logistic, evaluated on demand.
+# The (offset, scale) grid of the conditional tables; see the module docstring.
+_SCALE_LO, _SCALE_HI, _SCALE_RATIO = 1.0 / 32.0, 8190.0 / 6.0, 1.15
+_SCALES = np.geomspace(_SCALE_LO, _SCALE_HI,
+                       math.ceil(math.log(_SCALE_HI / _SCALE_LO) / math.log(_SCALE_RATIO)) + 1)
+_SCALE_EDGES = np.sqrt(_SCALES[:-1] * _SCALES[1:])
+_OFFSET_STEP_PER_SCALE = 0.125
+_OFFSET_M_MAX = 16
+_OFFSET_M = np.clip(np.round(0.5 / (_OFFSET_STEP_PER_SCALE * _SCALES)), 1,
+                    _OFFSET_M_MAX).astype(np.int64)
+_OFFSET_SLOTS = _OFFSET_M_MAX + 1
 
-    The window [k_lo, k_lo + n) is centered on the mean symbol; its
-    half-width tracks sigma/delta with a taper at very fine steps so the
-    one-count floors stay a small fraction of the total, and genuine
-    outliers go through the escape slot [TOTAL - 1, TOTAL).  Symbol
-    k_lo + i spans [cum(i), cum(i + 1)), where
+_CELLS: dict[int, FrequencyTable] = {}  # cell key -> table, for every model
 
-        cum(i) = i + floor((TOTAL - 1 - n) * (F(e_i) - F(e_0)) / (F(e_n) - F(e_0)))
 
-    and F(e_i) is the logistic CDF at the lower bin edge of k_lo + i.
-    Encoder and decoder both evaluate it through `cum`, in Python floats,
-    so they agree bit for bit.  Every frequency is at least one while F
-    is monotone in floating point; the encoder checks the span it writes.
-    """
+def _window(s: float) -> int:
+    """Half-width of a table at scale s: tracks s with a taper at very wide
+    scales so the one-count floors stay a small fraction of the total;
+    genuine outliers go through the escape slot."""
+    reach = 20.0 if s <= 100.0 else max(6.0, 2000.0 / s)
+    return min(math.ceil(reach * s) + 1, 8191)
 
-    __slots__ = ("mu", "sigma", "delta", "k_lo", "n", "f0", "span", "mass")
 
-    def __init__(self, mu: float, sigma: float, delta: float):
-        r = sigma / delta
-        reach = 20.0 if r <= 100.0 else max(6.0, 2000.0 / r)
-        w = min(math.ceil(reach * r) + 1, 8191)  # flat conditionals escape beyond this
-        self.mu, self.sigma, self.delta = mu, sigma, delta
-        self.k_lo = round(mu / delta) - w
-        self.n = 2 * w + 1
-        self.mass = _ESCAPE_CUM - self.n
-        self.f0 = self._cdf(0)
-        self.span = self._cdf(self.n) - self.f0
-        if not self.span > 0.0:
-            raise NumericError(
-                f"logistic window of {self.n} symbols has no mass "
-                f"(mu={mu!r}, sigma={sigma!r}, delta={delta!r})"
-            )
+def _cell_table(key: int) -> FrequencyTable:
+    """Table over j in [-w, w] for one grid cell: the symbols of a
+    logistic of scale s centred at offset f >= 0."""
+    a, b = divmod(key, _OFFSET_SLOTS)
+    s = float(_SCALES[a])
+    w = _window(s)
+    f = b / (2.0 * _OFFSET_M[a])
+    return build_freq_table(logistic_bin_prob(np.arange(-w, w + 1.0), f, s, 1.0), -w)
 
-    def _cdf(self, i: int) -> float:
-        t = ((self.k_lo + i - 0.5) * self.delta - self.mu) / self.sigma
-        if t >= 0.0:
-            return 1.0 / (1.0 + math.exp(-t))
-        e = math.exp(t)  # this branch never overflows
-        return e / (1.0 + e)
 
-    def cum(self, i: int) -> int:
-        if i == 0:
-            return 0
-        if i == self.n:
-            return _ESCAPE_CUM
-        return i + math.floor(self.mass * ((self._cdf(i) - self.f0) / self.span))
+def _cells(mu: np.ndarray, sigma: np.ndarray, delta: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FrequencyTable]]:
+    """(round(mu/delta), sign of the offset, table index per element,
+    tables) for a slice; element i codes sign[i] * (k - round(mu/delta)),
+    which mirrors negative offsets onto the tables of positive ones."""
+    x = mu / delta
+    if not np.all(np.abs(x) <= RAW_MAX):  # NaN fails too
+        raise NumericError(f"conditional means reach {np.abs(x).max()!r} steps, "
+                           "beyond the 32-bit symbol range")
+    center = np.round(x)
+    offset = x - center
+    a = np.searchsorted(_SCALE_EDGES, sigma / delta)
+    keys = a * _OFFSET_SLOTS + np.round(np.abs(offset) * (2 * _OFFSET_M[a])).astype(np.int64)
+    unique, table_of = np.unique(keys, return_inverse=True)
+    tables = []
+    for key in unique.tolist():
+        table = _CELLS.get(key)
+        if table is None:
+            # a racing thread builds the identical table; either copy serves
+            table = _CELLS.setdefault(key, _cell_table(key))
+        tables.append(table)
+    return center.astype(np.int64), np.where(offset < 0, -1, 1), table_of, tables
 
 
 # -- base level (z0) --------------------------------------------------------------
@@ -324,27 +348,21 @@ def _base_ranges(z0_hat: np.ndarray, spec: QuantSpec) -> list[tuple[int, int]]:
 # -- level coding -------------------------------------------------------------------
 
 
+def _base_table_of(shape: tuple[int, ...]) -> np.ndarray:
+    """Table index (the channel) of every z0 element in raster order."""
+    c, hh, ww = shape
+    return np.repeat(np.arange(c), hh * ww)
+
+
 def _encode_base(z0_hat: np.ndarray, spec: QuantSpec, tables: list[FrequencyTable]) -> bytes:
-    enc = RangeEncoder()
-    c = z0_hat.shape[1]
-    for i in range(c):
-        ks = grid_index(z0_hat[0, i], spec.delta0[i]).reshape(-1)
-        table = tables[i]
-        for k in ks:
-            enc.encode_symbol(table, int(k))
-    return enc.finish()
+    ks = grid_index(z0_hat[0], spec.delta0[:, None, None]).reshape(-1)
+    return encode_symbols(ks, _base_table_of(z0_hat.shape[1:]), tables)
 
 
 def _decode_base(payload: bytes, header: Header, tables: list[FrequencyTable],
                  shape: tuple[int, int, int]) -> np.ndarray:
-    c, hh, ww = shape
-    dec = RangeDecoder(payload, "section z0")
-    out = np.zeros((1, c, hh, ww), dtype=np.float64)
-    for i in range(c):
-        table = tables[i]
-        ks = np.array([dec.decode_symbol(table) for _ in range(hh * ww)], dtype=np.float64)
-        out[0, i] = (ks * header.spec.delta0[i]).reshape(hh, ww)
-    return out
+    ks = decode_symbols(payload, _base_table_of(shape), tables, "section z0")
+    return ks.reshape((1,) + shape) * header.spec.delta0[None, :, None, None]
 
 
 def _encode_conditional(values_hat: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
@@ -359,23 +377,10 @@ def _encode_conditional(values_hat: np.ndarray, mu: np.ndarray, sigma: np.ndarra
     effective = values_hat.reshape(-1).copy()
     effective[lo:hi][skip] = mean_symbol(flat_mu[lo:hi][skip], delta)
     coded = lo + np.flatnonzero(~skip)
-    enc = RangeEncoder()
-    for v, m, s in zip(effective[coded].tolist(), flat_mu[coded].tolist(),
-                       flat_sigma[coded].tolist()):
-        q = _QuantizedLogistic(m, s, delta)
-        k = round(v / delta)
-        i = k - q.k_lo
-        if 0 <= i < q.n:
-            c0, c1 = q.cum(i), q.cum(i + 1)
-            if c1 <= c0:
-                raise NumericError(
-                    f"symbol {k} got frequency {c1 - c0} (mu={m!r}, sigma={s!r})"
-                )
-            enc.encode(c0, c1 - c0)
-        else:
-            enc.encode(_ESCAPE_CUM, 1)
-            enc.encode_raw(k)
-    return enc.finish(), effective.reshape(values_hat.shape), len(coded)
+    center, sign, table_of, tables = _cells(flat_mu[coded], flat_sigma[coded], delta)
+    payload = encode_symbols(sign * (grid_index(effective[coded], delta) - center),
+                             table_of, tables)
+    return payload, effective.reshape(values_hat.shape), len(coded)
 
 
 def _decode_conditional(payload: bytes | None, mu: np.ndarray, sigma: np.ndarray,
@@ -392,31 +397,13 @@ def _decode_conditional(payload: bytes | None, mu: np.ndarray, sigma: np.ndarray
         return 0
     skip = _skip_mask(flat_mu[lo:hi], flat_sigma[lo:hi], delta, p_thresh)
     coded = lo + np.flatnonzero(~skip)
-    dec = RangeDecoder(payload, context)
-    ks = []
-    for m, s in zip(flat_mu[coded].tolist(), flat_sigma[coded].tolist()):
-        try:
-            q = _QuantizedLogistic(m, s, delta)
-        except (NumericError, OverflowError) as exc:
-            # the encoder fails on the same element, so no stream codes it
-            raise FormatError(f"{context}: step {delta!r} cannot be coded ({exc})") from None
-        target = dec.decode_target()
-        if target >= _ESCAPE_CUM:
-            dec.advance(_ESCAPE_CUM, 1)
-            ks.append(dec.decode_raw())
-            continue
-        # bisect for cum(i) <= target < cum(i + 1)
-        i, c_lo, j, c_hi = 0, 0, q.n, _ESCAPE_CUM
-        while j - i > 1:
-            mid = (i + j) // 2
-            c = q.cum(mid)
-            if c <= target:
-                i, c_lo = mid, c
-            else:
-                j, c_hi = mid, c
-        dec.advance(c_lo, c_hi - c_lo)
-        ks.append(q.k_lo + i)
-    out_flat[coded] = np.array(ks, dtype=np.float64) * delta
+    try:
+        center, sign, table_of, tables = _cells(flat_mu[coded], flat_sigma[coded], delta)
+    except NumericError as exc:
+        # the encoder fails on the same elements, so no stream codes them
+        raise FormatError(f"{context}: step {delta!r} cannot be coded ({exc})") from None
+    ks = center + sign * decode_symbols(payload, table_of, tables, context)
+    out_flat[coded] = ks * delta
     return len(coded)
 
 
@@ -452,6 +439,9 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
         )
     orig_h, orig_w = image.shape[1], image.shape[2]
     padded = pad_to_multiple(image, 2 ** LEVELS)
+    if padded.shape[1] * padded.shape[2] > MAX_PIXELS:
+        raise ValueError(f"padded image of {padded.shape[1]}x{padded.shape[2]} pixels "
+                         f"exceeds the {MAX_PIXELS}-pixel limit")
 
     zs, _ = model.forward(Tensor(padded[None]))
     z2 = round_to_grid(zs[0].data, spec.delta2)

@@ -72,6 +72,29 @@ class FlowConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unsupported dtype {self.dtype}")
+        if self.prior_width < 1 or self.prior_depth < 2:
+            raise ValueError("the prior needs width >= 1 and at least 2 stages")
+
+    def param_count(self) -> int:
+        """Parameter elements of a model with this config, counted without
+        building one (mirrors the constructors below)."""
+        h = self.hidden
+
+        def resnet(in_ch: int, out_ch: int) -> int:
+            return 9 * h * (in_ch + out_ch) + h + out_ch + 2 * self.blocks * (9 * h * h + h)
+
+        total, c = 0, self.in_channels
+        for i in range(LEVELS):
+            half = 2 * c  # the level squeezes c to 4c channels
+            total += self.steps * resnet(half, half)
+            if i < LEVELS - 1:
+                total += resnet(half, 2 * half)
+                c = half
+        widths = [1] + [self.prior_width] * (self.prior_depth - 1) + [1]
+        for k in range(self.prior_depth):
+            gated = k < self.prior_depth - 1
+            total += 4 * c * widths[k + 1] * (widths[k] + 1 + gated)
+        return total
 
 
 @dataclass
@@ -386,17 +409,19 @@ class FlowModel:
         body, digest = raw[:-32], raw[-32:]
         if hashlib.sha256(body).digest() != digest:
             raise FormatError("model file content hash mismatch")
-        fields = struct.unpack_from("<BBBBBHHQBBd", raw, 4)
-        (version, dtype_code, levels, steps, blocks, hidden,
-         in_channels, seed, pw, pd, pscale) = fields
+        header_len = 4 + struct.calcsize("<BBBBBHHQBBd")
+        try:
+            (version, dtype_code, levels, steps, blocks, hidden, in_channels, seed,
+             pw, pd, pscale) = struct.unpack_from("<BBBBBHHQBBd", body, 4)
+            (blob_len,) = struct.unpack_from("<Q", body, header_len)
+        except struct.error:
+            raise FormatError("model file truncated inside the header") from None
         if version != MODEL_VERSION:
             raise FormatError(f"unsupported model version {version}")
         if levels != LEVELS:
             raise FormatError(f"model declares {levels} levels; this build uses {LEVELS}")
         if dtype_code not in _CODE_DTYPES:
             raise FormatError(f"unknown model dtype code {dtype_code}")
-        header_len = 4 + struct.calcsize("<BBBBBHHQBBd")
-        (blob_len,) = struct.unpack_from("<Q", raw, header_len)
         blob = raw[header_len + 8 : header_len + 8 + blob_len]
         if len(blob) != blob_len or header_len + 8 + blob_len != len(body):
             raise FormatError("model file truncated")
@@ -405,6 +430,17 @@ class FlowModel:
             seed=seed, prior_width=pw, prior_depth=pd, prior_init_scale=pscale,
             dtype=_CODE_DTYPES[dtype_code].name,
         )
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise FormatError(f"bad model header: {exc}") from None
+        # refuse before building: the header alone could ask for any size
+        needed = config.param_count() * _CODE_DTYPES[dtype_code].itemsize
+        if blob_len < needed:
+            raise FormatError(
+                f"parameter blob of {blob_len} bytes cannot hold the {needed} bytes "
+                "the header's architecture needs"
+            )
         model = cls(config)
         model.params.load_bytes(blob)
         return model

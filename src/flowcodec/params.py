@@ -13,6 +13,7 @@ is not serialized.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterator
 
@@ -111,6 +112,15 @@ def parse_entries(blob: bytes) -> list[tuple[str, np.ndarray]]:
     """Decode an NDG1 blob into (name, array) pairs."""
     if blob[:4] != MAGIC:
         raise FormatError(f"bad parameter store magic {blob[:4]!r}")
+    try:
+        return _parse_entries(blob)
+    except struct.error:
+        raise FormatError("parameter store truncated") from None
+    except UnicodeDecodeError:
+        raise FormatError("parameter name is not UTF-8") from None
+
+
+def _parse_entries(blob: bytes) -> list[tuple[str, np.ndarray]]:
     pos = 4
     (count,) = struct.unpack_from("<I", blob, pos)
     pos += 4
@@ -127,7 +137,7 @@ def parse_entries(blob: bytes) -> list[tuple[str, np.ndarray]]:
         shape = struct.unpack_from(f"<{rank}I", blob, pos)
         pos += 4 * rank
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         raw = blob[pos : pos + nbytes]
         if len(raw) != nbytes:
             raise FormatError(f"parameter {name!r}: truncated payload")

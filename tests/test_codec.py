@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+import threading
 import zlib
 from collections import Counter
 from dataclasses import replace
@@ -23,7 +25,7 @@ from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol, skip_bo
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
 from flowcodec.flow import FlowConfig, FlowLevel, FlowModel
 from flowcodec.quantize import round_to_grid
-from flowcodec.rangecoder import TOTAL, RangeDecoder, RangeEncoder
+from flowcodec.rangecoder import TOTAL, FrequencyTable, RangeDecoder, RangeEncoder
 from flowcodec.tensor import Tensor, no_grad
 
 
@@ -200,9 +202,10 @@ class TestSkipDecisions:
         assert np.array_equal(out, values.reshape(-1))
 
 
-class TestQuantizedLogistic:
-    """The table-free conditional CDF over sigma/delta in [1e-3, 1e4] and
-    |mu/delta| up to 1e6, including the 8191-symbol half-width cap."""
+class TestGridTables:
+    """Conditional tables on the (offset, scale) grid over sigma/delta in
+    [1e-3, 1e4] and |mu/delta| up to 1e6, including the 8191-symbol
+    half-width cap."""
 
     @staticmethod
     def cases():
@@ -215,13 +218,20 @@ class TestQuantizedLogistic:
             out.append((m, float(10.0 ** rng.uniform(-3, 4)), float(10.0 ** rng.uniform(-3, 1))))
         return out
 
-    def test_cdf_edges_and_floors(self):
+    @staticmethod
+    def table_for(m, r, delta):
+        center, sign, table_of, tables = C._cells(np.array([m * delta]),
+                                                  np.array([r * delta]), delta)
+        assert center[0] == round(m) and sign[0] == (-1 if m < round(m) else 1)
+        return tables[table_of[0]]
+
+    def test_starts_total_and_floors(self):
         for m, r, delta in self.cases():
-            q = C._QuantizedLogistic(m * delta, r * delta, delta)
-            assert q.n <= 2 * 8191 + 1
-            cum = np.array([q.cum(i) for i in range(q.n + 1)])
-            assert cum[0] == 0 and cum[-1] == TOTAL - 1, (m, r, delta)
-            assert np.diff(cum).min() >= 1, (m, r, delta)
+            table = self.table_for(m, r, delta)
+            assert len(table.starts) <= 2 * 8191 + 2
+            cum = table.cum
+            assert cum[0] == 0 and cum[-1] == TOTAL, (m, r, delta)
+            assert table.freqs.min() >= 1, (m, r, delta)
 
     def test_random_symbols_roundtrip_with_escapes(self):
         rng = np.random.default_rng(96)
@@ -241,13 +251,79 @@ class TestQuantizedLogistic:
                                      "sweep") == coded == n
         assert np.array_equal(out, values)
 
-    def test_encoder_refuses_a_zero_frequency(self, monkeypatch):
-        """A CDF that is not monotone in floating point is caught by the
-        encoder instead of producing an undecodable stream."""
-        monkeypatch.setattr(C._QuantizedLogistic, "cum", lambda self, i: 7)
-        with pytest.raises(NumericError, match="frequency"):
-            C._encode_conditional(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)),
-                                  np.ones((1, 1, 1, 1)), 1.0, 1.0, (0, 1))
+    def test_cell_tables_do_not_depend_on_the_cache(self, monkeypatch):
+        """A cell built with the cache cleared, or in another order, equals
+        the cached table."""
+        cached = {id(t): t for m, r, delta in self.cases()
+                  for t in [self.table_for(m, r, delta)]}
+        keys = {key: table for key, table in C._CELLS.items() if id(table) in cached}
+        assert len(keys) == len(cached)
+        monkeypatch.setattr(C, "_CELLS", {})
+        for key in sorted(keys, reverse=True):
+            fresh = C._cell_table(key)
+            assert fresh.k_min == keys[key].k_min
+            assert fresh.starts == keys[key].starts
+
+    def test_extreme_cells_keep_the_one_count_floor(self):
+        """Where the logistic mass underflows to the probability floor,
+        build_freq_table still gives every slot at least one count."""
+        top = len(C._SCALES) - 1
+        m_lo, m_hi = C._OFFSET_M[0], C._OFFSET_M[top]
+        for a, b in ((0, 0), (0, m_lo), (top, 0), (top, m_hi)):
+            table = C._cell_table(a * C._OFFSET_SLOTS + int(b))
+            assert table.freqs.min() >= 1
+            assert table.freqs[-1] == 1
+        with pytest.raises(NumericError, match="at least one"):
+            FrequencyTable(0, np.array([TOTAL - 1, 0, 1]))
+
+    def test_grid_bounds(self):
+        """Neighbouring scales are at most 1.15x apart, and the cache with
+        every cell built stays under 2 MB of table starts."""
+        assert np.max(C._SCALES[1:] / C._SCALES[:-1]) <= 1.15
+        assert C._window(C._SCALES[-1]) == 8191
+        worst = sum((2 * C._window(s) + 2) * 2 * (int(m) + 1)
+                    for s, m in zip(C._SCALES, C._OFFSET_M))
+        assert worst <= 2_000_000
+
+    def test_threads_share_the_cache(self, model, image, monkeypatch):
+        """Encodes and decodes in 4 threads over one shared model, starting
+        from an empty cache, give the bytes and decodes of sequential runs."""
+        jobs = [(img, step) for img in (image, image[:, :16, :24]) for step in (0.25, 1.0, 4.0)]
+
+        def run(job):
+            img, step = job
+            blob = encode_image(model, img, spec_for(model, step))
+            return blob, decode_image(model, blob)
+
+        monkeypatch.setattr(C, "_CELLS", {})
+        expected = [run(job) for job in jobs]
+        monkeypatch.setattr(C, "_CELLS", {})
+        results, errors = {}, []
+
+        def worker(offset):
+            try:
+                for i in range(len(jobs)):
+                    j = (i + offset) % len(jobs)
+                    results[offset, j] = run(jobs[j])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 4 * len(jobs)
+        for (_, j), (blob, out) in results.items():
+            assert blob == expected[j][0]
+            assert np.array_equal(out, expected[j][1])
 
 
 class TestProgressive:
@@ -428,6 +504,24 @@ class TestContainer:
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):
             inspect_bitstream(b"JUNKJUNKJUNKJUNK" * 8)
+
+    def test_pixel_limit(self, model, image, monkeypatch):
+        """A header of 2^16 x 2^16 padded pixels (CRC recomputed) is refused
+        before any latent is allocated, and the encoder refuses to write a
+        stream past the limit."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        big = C._pack_header(replace(header, orig_h=1 << 16, orig_w=1 << 16,
+                                     pad_h=1 << 16, pad_w=1 << 16)) + blob[start:]
+        with pytest.raises(FormatError, match="pixel limit"):
+            inspect_bitstream(big)
+        with pytest.raises(FormatError, match="pixel limit"):
+            decode_image(model, big)
+        monkeypatch.setattr(C, "MAX_PIXELS", 32 * 24)
+        with pytest.raises(ValueError, match="pixel limit"):
+            encode_image(model, image, spec_for(model, 1.0))
+        with pytest.raises(FormatError, match="pixel limit"):
+            inspect_bitstream(blob)
 
     def test_trailing_bytes_rejected(self, model, image):
         blob = encode_image(model, image[:, :16, :16], spec_for(model, 1.0)) + b"xx"

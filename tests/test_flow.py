@@ -1,6 +1,7 @@
 """Flow model: bijectivity, channel bookkeeping, conditioning, model files."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -251,6 +252,51 @@ class TestModelFile:
         body[5] = 7  # after magic and version
         with pytest.raises(FormatError, match="dtype code 7"):
             FlowModel.from_bytes(bytes(body) + hashlib.sha256(body).digest())
+
+    @staticmethod
+    def resealed(model, offset, fmt, value) -> bytes:
+        """The model file with one header field rewritten and its SHA-256
+        recomputed."""
+        body = bytearray(model.to_bytes()[:-32])
+        struct.pack_into(fmt, body, offset, value)
+        return bytes(body) + hashlib.sha256(body).digest()
+
+    @pytest.mark.parametrize("offset,fmt,field", [
+        (11, "<H", "in_channels"), (7, "<B", "steps"), (8, "<B", "blocks"),
+        (9, "<H", "hidden"), (22, "<B", "prior depth"),
+    ])
+    def test_zero_architecture_field_rejected(self, model, offset, fmt, field):
+        with pytest.raises(FormatError, match="bad model header"):
+            FlowModel.from_bytes(self.resealed(model, offset, fmt, 0))
+
+    def test_oversized_architecture_refused_before_building(self, model, monkeypatch):
+        """hidden=65535 would need hundreds of GB; the blob's byte count
+        refuses it before any parameter is allocated."""
+        built = []
+        monkeypatch.setattr(FlowModel, "__init__",
+                            lambda self, config: built.append(config))
+        with pytest.raises(FormatError, match="cannot hold"):
+            FlowModel.from_bytes(self.resealed(model, 9, "<H", 65535))
+        assert built == []
+
+    def test_non_utf8_parameter_name_rejected(self, model):
+        body = bytearray(model.to_bytes()[:-32])
+        body[39 + 4 + 4 + 2] = 0xFF  # first byte of the first parameter name
+        with pytest.raises(FormatError, match="UTF-8"):
+            FlowModel.from_bytes(bytes(body) + hashlib.sha256(body).digest())
+
+    def test_short_header_rejected(self, model):
+        body = model.to_bytes()[:5]  # magic and version
+        with pytest.raises(FormatError, match="truncated"):
+            FlowModel.from_bytes(body + hashlib.sha256(body).digest())
+
+    @pytest.mark.parametrize("config", [
+        FlowConfig(), FlowConfig(in_channels=1, steps=3, blocks=2, hidden=5),
+        FlowConfig(in_channels=4, steps=1, blocks=3, hidden=7, prior_width=2, prior_depth=5),
+    ])
+    def test_param_count_matches_the_built_model(self, config):
+        model = FlowModel(config)
+        assert config.param_count() == sum(t.size for t in model.params.tensors())
 
     def test_bad_magic_rejected(self):
         with pytest.raises(FormatError, match="magic"):

@@ -56,6 +56,30 @@ class TestValidation:
         with pytest.raises(FormatError):
             parse_entries(blob[:-3])
 
+    @pytest.mark.parametrize("cut", [5, 9, 12, 20])
+    def test_short_blob(self, cut):
+        """A blob cut inside the entry count, a name length, a dtype code
+        or a shape is a format error, not struct.error."""
+        with pytest.raises(FormatError, match="truncated"):
+            parse_entries(build_store().to_bytes()[:cut])
+
+    def test_non_utf8_name(self):
+        blob = bytearray(build_store().to_bytes())
+        blob[4 + 4 + 2] = 0xFF  # first byte of the first name
+        with pytest.raises(FormatError, match="UTF-8"):
+            parse_entries(bytes(blob))
+
+    def test_huge_shape_is_truncation(self):
+        """Extents whose product is 2^64 are refused as a short payload,
+        not wrapped into a byte count of zero."""
+        store = ParamStore()
+        store.add("w", Tensor(np.zeros((2, 2, 2, 2))))
+        blob = bytearray(store.to_bytes())
+        shape_at = 4 + 4 + 2 + 1 + 2
+        blob[shape_at : shape_at + 16] = b"\x00\x00\x01\x00" * 4
+        with pytest.raises(FormatError, match="truncated"):
+            parse_entries(bytes(blob))
+
     def test_name_mismatch(self):
         store = build_store()
         other = ParamStore()
