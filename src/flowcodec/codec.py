@@ -9,10 +9,12 @@ threshold, in which case both sides substitute that mean symbol; encoder
 and decoder therefore agree on every skip decision by construction, and
 the coder path always evaluates the models in float64.
 
-Every section is coded the same way: each symbol gets one integer
-`FrequencyTable` from `build_freq_table`, and `rangecoder.encode_symbols`
-/ `decode_symbols` code the whole slice in one loop.  The base latents
-use one table per channel under the per-channel prior.  A conditional
+One section coder codes z0, z1, z2a and z2b alike.  A section is its
+coded element indices with a centre, a sign and a `build_freq_table`
+table per element: element i holds (centre + sign * j) * step, and
+`rangecoder.encode_symbols` / `decode_symbols` code every j of the
+section in one loop.  Encoder and decoder walk one section list.  z0 is
+centre 0 and sign +1 under its channel's prior table.  A conditional
 symbol k is coded as j = k - round(mu/delta), negated when the offset
 f = mu/delta - round(mu/delta) is negative, so that a negative offset
 uses the mirrored table of |f|.  The table comes from the symbol's cell
@@ -49,6 +51,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +59,7 @@ from .entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from .errors import FormatError, ModelMismatchError, NumericError
 from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
 from .quantize import grid_index, round_to_grid
-from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: trace hook names)
+from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: benchmark trace hook names)
     MAX_SYMBOLS, RAW_MAX, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
     decode_symbols, encode_symbols,
 )
@@ -72,6 +75,8 @@ LEVEL_CODES = {1.0: 10, 2.0: 20, 2.5: 25, 3.0: 30}
 CODE_LEVELS = {v: k for k, v in LEVEL_CODES.items()}
 
 _SECTION_NAMES = ("z0", "z1", "z2a", "z2b")
+_SECTION_LABELS = {"z0": "z0", "z1": "z1", "z2a": "z2 (partial)", "z2b": "z2"}
+_SECTION_LEVELS = (1.0, 2.0, 2.5, 3.0)  # the level mask from which each section is present
 
 # -- container -----------------------------------------------------------------
 
@@ -92,15 +97,10 @@ class Header:
     base_ranges: list[tuple[int, int]]
     section_lengths: dict[str, int]
 
-    def sections_present(self) -> list[str]:
-        out = ["z0"]
-        if self.level_mask >= 2.0:
-            out.append("z1")
-        if self.level_mask >= 2.5:
-            out.append("z2a")
-        if self.level_mask >= 3.0:
-            out.append("z2b")
-        return out
+
+def _sections_at(levels: float) -> list[str]:
+    """The sections a stream of level mask `levels` holds."""
+    return [name for name, need in zip(_SECTION_NAMES, _SECTION_LEVELS) if levels >= need]
 
 
 def _pack_header(h: Header) -> bytes:
@@ -185,8 +185,7 @@ def _split_sections(blob: bytes, header: Header, start: int) -> dict[str, bytes]
         n = header.section_lengths.get(name, 0)
         part = blob[pos : pos + n]
         if len(part) != n:
-            level = {"z0": "z0", "z1": "z1", "z2a": "z2 (partial)", "z2b": "z2"}[name]
-            raise FormatError(f"bitstream truncated inside section {level}")
+            raise FormatError(f"bitstream truncated inside section {_SECTION_LABELS[name]}")
         sections[name] = part
         pos += n
     if pos != len(blob):
@@ -281,54 +280,12 @@ def _cell_table(key: int) -> FrequencyTable:
     return build_freq_table(logistic_bin_prob(np.arange(-w, w + 1.0), f, s, 1.0), -w)
 
 
-def _cells(mu: np.ndarray, sigma: np.ndarray, delta: float
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FrequencyTable]]:
-    """(round(mu/delta), sign of the offset, table index per element,
-    tables) for a slice; element i codes sign[i] * (k - round(mu/delta)),
-    which mirrors negative offsets onto the tables of positive ones."""
-    x = mu / delta
-    if not np.all(np.abs(x) <= RAW_MAX):  # NaN fails too
-        raise NumericError(f"conditional means reach {np.abs(x).max()!r} steps, "
-                           "beyond the 32-bit symbol range")
-    center = np.round(x)
-    offset = x - center
-    a = np.searchsorted(_SCALE_EDGES, sigma / delta)
-    keys = a * _OFFSET_SLOTS + np.round(np.abs(offset) * (2 * _OFFSET_M[a])).astype(np.int64)
-    unique, table_of = np.unique(keys, return_inverse=True)
-    tables = []
-    for key in unique.tolist():
-        table = _CELLS.get(key)
-        if table is None:
-            # a racing thread builds the identical table; either copy serves
-            table = _CELLS.setdefault(key, _cell_table(key))
-        tables.append(table)
-    return center.astype(np.int64), np.where(offset < 0, -1, 1), table_of, tables
-
-
 # -- base level (z0) --------------------------------------------------------------
-
-
-def _base_tables(model: FlowModel, spec: QuantSpec,
-                 ranges: list[tuple[int, int]]) -> list[FrequencyTable]:
-    """Per-channel prior tables over the header-declared symbol ranges.
-
-    Evaluated in one padded prior call so coder and rate paths share the
-    exact same CDF code.
-    """
-    widths = [hi - lo + 1 for lo, hi in ranges]
-    n_max = max(widths)
-    c = len(ranges)
-    values = np.zeros((c, n_max), dtype=np.float64)
-    for i, (lo, _) in enumerate(ranges):
-        values[i] = (lo + np.arange(n_max, dtype=np.float64)) * spec.delta0[i]
-    probs = model.prior.bin_prob(Tensor(values), spec.delta0).data
-    return [build_freq_table(probs[i, : widths[i]], ranges[i][0]) for i in range(c)]
 
 
 def _base_ranges(z0_hat: np.ndarray, spec: QuantSpec) -> list[tuple[int, int]]:
     ranges = []
-    c = z0_hat.shape[1]
-    for i in range(c):
+    for i in range(z0_hat.shape[1]):
         k = grid_index(z0_hat[0, i], spec.delta0[i])
         lo, hi = int(k.min()), int(k.max())
         if lo < -32768 or hi > 32767:
@@ -345,66 +302,118 @@ def _base_ranges(z0_hat: np.ndarray, spec: QuantSpec) -> list[tuple[int, int]]:
     return ranges
 
 
-# -- level coding -------------------------------------------------------------------
+# -- section coding -----------------------------------------------------------------
 
 
-def _base_table_of(shape: tuple[int, ...]) -> np.ndarray:
-    """Table index (the channel) of every z0 element in raster order."""
-    c, hh, ww = shape
-    return np.repeat(np.arange(c), hh * ww)
+class _Section(NamedTuple):
+    """The coded elements of one section: flat element coded[i] of its
+    level is (center[i] + sign[i] * j) * step[i], and the symbol j is
+    coded under tables[table_of[i]]."""
+
+    coded: np.ndarray
+    center: np.ndarray | int
+    sign: np.ndarray | int
+    table_of: np.ndarray
+    tables: list[FrequencyTable]
+    step: np.ndarray | float
 
 
-def _encode_base(z0_hat: np.ndarray, spec: QuantSpec, tables: list[FrequencyTable]) -> bytes:
-    ks = grid_index(z0_hat[0], spec.delta0[:, None, None]).reshape(-1)
-    return encode_symbols(ks, _base_table_of(z0_hat.shape[1:]), tables)
+def _base_section(model: FlowModel, spec: QuantSpec, ranges: list[tuple[int, int]],
+                  n: int) -> _Section:
+    """The n elements of z0 as a section: centre 0, sign +1 and the prior
+    table of each element's channel over its header-declared symbol range.
+
+    The tables come from one padded prior call, so coder and rate paths
+    share the exact same CDF code.
+    """
+    widths = [hi - lo + 1 for lo, hi in ranges]
+    values = np.array([(lo + np.arange(max(widths), dtype=np.float64)) * step
+                       for (lo, _), step in zip(ranges, spec.delta0)])
+    probs = model.prior.bin_prob(Tensor(values), spec.delta0).data
+    tables = [build_freq_table(p[:w], lo) for p, w, (lo, _) in zip(probs, widths, ranges)]
+    channel = np.repeat(np.arange(len(tables)), n // len(tables))
+    return _Section(np.arange(n), 0, 1, channel, tables, spec.delta0[channel])
 
 
-def _decode_base(payload: bytes, header: Header, tables: list[FrequencyTable],
-                 shape: tuple[int, int, int]) -> np.ndarray:
-    ks = decode_symbols(payload, _base_table_of(shape), tables, "section z0")
-    return ks.reshape((1,) + shape) * header.spec.delta0[None, :, None, None]
+def _conditional_section(mu: np.ndarray, sigma: np.ndarray, delta: float, p_thresh: float,
+                         lo: int, hi: int, flat: np.ndarray) -> _Section:
+    """Elements [lo, hi) of a conditional level as a section, given the
+    level's flat conditionals: the skip rule, then the grid cell of every
+    coded element.  Writes the mean symbol into flat at every skipped
+    element.  The sign of an element is that of its offset
+    mu/delta - round(mu/delta), which mirrors negative offsets onto the
+    tables of positive ones."""
+    mu, sigma = mu[lo:hi], sigma[lo:hi]
+    skip = _skip_mask(mu, sigma, delta, p_thresh)
+    flat[lo:hi][skip] = mean_symbol(mu[skip], delta)
+    coded = np.flatnonzero(~skip)
+    x = mu[coded] / delta
+    if not np.all(np.abs(x) <= RAW_MAX):  # NaN fails too
+        raise NumericError(f"conditional means reach {np.abs(x).max()!r} steps, "
+                           "beyond the 32-bit symbol range")
+    center = np.round(x)
+    offset = x - center
+    a = np.searchsorted(_SCALE_EDGES, sigma[coded] / delta)
+    keys = a * _OFFSET_SLOTS + np.round(np.abs(offset) * (2 * _OFFSET_M[a])).astype(np.int64)
+    unique, table_of = np.unique(keys, return_inverse=True)
+    # a racing thread builds the identical table; either copy serves
+    tables = [_CELLS.get(key) or _CELLS.setdefault(key, _cell_table(key))
+              for key in unique.tolist()]
+    return _Section(lo + coded, center.astype(np.int64), np.where(offset < 0, -1, 1),
+                    table_of, tables, delta)
 
 
-def _encode_conditional(values_hat: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                        delta: float, p_thresh: float,
-                        element_range: tuple[int, int]) -> tuple[bytes, np.ndarray, int]:
-    """Code one slice of a conditional level; returns (payload, effective
-    values after mean substitution, coded-symbol count)."""
-    flat_mu = mu.reshape(-1)
-    flat_sigma = sigma.reshape(-1)
-    lo, hi = element_range
-    skip = _skip_mask(flat_mu[lo:hi], flat_sigma[lo:hi], delta, p_thresh)
-    effective = values_hat.reshape(-1).copy()
-    effective[lo:hi][skip] = mean_symbol(flat_mu[lo:hi][skip], delta)
-    coded = lo + np.flatnonzero(~skip)
-    center, sign, table_of, tables = _cells(flat_mu[coded], flat_sigma[coded], delta)
-    payload = encode_symbols(sign * (grid_index(effective[coded], delta) - center),
-                             table_of, tables)
-    return payload, effective.reshape(values_hat.shape), len(coded)
+def _encode_section(s: _Section, flat: np.ndarray) -> bytes:
+    return encode_symbols(s.sign * (grid_index(flat[s.coded], s.step) - s.center),
+                          s.table_of, s.tables)
 
 
-def _decode_conditional(payload: bytes | None, mu: np.ndarray, sigma: np.ndarray,
-                        delta: float, p_thresh: float,
-                        element_range: tuple[int, int], out_flat: np.ndarray,
-                        context: str) -> int:
-    """Mirror of `_encode_conditional` writing into out_flat; a None
-    payload substitutes the mean symbol everywhere in the slice."""
-    flat_mu = mu.reshape(-1)
-    flat_sigma = sigma.reshape(-1)
-    lo, hi = element_range
-    out_flat[lo:hi] = mean_symbol(flat_mu[lo:hi], delta)
-    if payload is None:
-        return 0
-    skip = _skip_mask(flat_mu[lo:hi], flat_sigma[lo:hi], delta, p_thresh)
-    coded = lo + np.flatnonzero(~skip)
-    try:
-        center, sign, table_of, tables = _cells(flat_mu[coded], flat_sigma[coded], delta)
-    except NumericError as exc:
-        # the encoder fails on the same elements, so no stream codes them
-        raise FormatError(f"{context}: step {delta!r} cannot be coded ({exc})") from None
-    ks = center + sign * decode_symbols(payload, table_of, tables, context)
-    out_flat[coded] = ks * delta
-    return len(coded)
+def _decode_section(payload: bytes, s: _Section, flat: np.ndarray, context: str) -> None:
+    js = decode_symbols(payload, s.table_of, s.tables, context)
+    flat[s.coded] = (s.center + s.sign * js) * s.step
+
+
+def _walk(model: FlowModel, spec: QuantSpec, p_thresh: float, ranges: list[tuple[int, int]],
+          z: list[np.ndarray], cut: int, present: list[str],
+          code: Callable[[str, _Section, np.ndarray], bytes | None],
+          decoding: bool) -> tuple[dict[str, bytes | None], DecoderChain | None]:
+    """Walk the sections in stream order up the decoder chain, over the
+    level arrays z = [z0, z1, z2], which it updates in place.
+
+    Each section named in `present` goes to code(name, section, flat
+    level) once its skipped elements hold their mean symbol; every element
+    of a section not present holds its mean symbol.  An encoder's walk
+    stops after its last section; a decoder's walks every level and
+    returns the chain with every level but the finest inverted, and a
+    step that the cells cannot take is a format error.
+    """
+    flat = z[0].reshape(-1)
+    out = {"z0": code("z0", _base_section(model, spec, ranges, flat.size), flat)}
+    chain = None
+    for level, delta, parts in ((1, spec.delta1, (("z1", 0, z[1].size),)),
+                                (2, spec.delta2, (("z2a", 0, cut), ("z2b", cut, z[2].size)))):
+        if parts[0][0] not in present and not decoding:
+            break
+        if chain is None:
+            chain = DecoderChain(model, z[0])
+        else:
+            chain.invert(z[1])
+        mu, sigma = (t.data.reshape(-1) for t in chain.conditionals())
+        flat = z[level].reshape(-1)
+        for name, lo, hi in parts:
+            if name not in present:
+                flat[lo:hi] = mean_symbol(mu[lo:hi], delta)
+                continue
+            try:
+                section = _conditional_section(mu, sigma, delta, p_thresh, lo, hi, flat)
+            except NumericError as exc:
+                if not decoding:
+                    raise
+                # the encoder fails on the same elements, so no stream codes them
+                raise FormatError(f"section {_SECTION_LABELS[name]}: step {delta!r} "
+                                  f"cannot be coded ({exc})") from None
+            out[name] = code(name, section, flat)
+    return out, chain
 
 
 # -- public encode/decode --------------------------------------------------------------
@@ -449,24 +458,11 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     z0 = round_to_grid(zs[2].data, spec.delta0[None, :, None, None])
 
     ranges = _base_ranges(z0, spec)
-    tables = _base_tables(model, spec, ranges)
-    sections: dict[str, bytes] = {"z0": _encode_base(z0, spec, tables)}
-
-    n_z2 = z2[0].size
-    partial_count = int(np.ceil(partial_frac * n_z2))
-    if levels >= 2.0:
-        chain = DecoderChain(model, z0)
-        mu1, sig1 = (t.data for t in chain.conditionals())
-        sections["z1"], z1_eff, _ = _encode_conditional(z1, mu1, sig1, spec.delta1,
-                                                        p_thresh, (0, z1[0].size))
-    if levels >= 2.5:
-        chain.invert(z1_eff)
-        mu2, sig2 = (t.data for t in chain.conditionals())
-        sections["z2a"], z2_eff, _ = _encode_conditional(z2, mu2, sig2, spec.delta2,
-                                                         p_thresh, (0, partial_count))
-        if levels >= 3.0:
-            sections["z2b"], _, _ = _encode_conditional(z2_eff, mu2, sig2, spec.delta2,
-                                                        p_thresh, (partial_count, n_z2))
+    partial_count = int(np.ceil(partial_frac * z2[0].size))
+    sections, _ = _walk(model, spec, p_thresh, ranges, [z0, z1, z2], partial_count,
+                        _sections_at(levels),
+                        lambda _, section, flat: _encode_section(section, flat),
+                        decoding=False)
 
     header = Header(
         model_id=model.model_id, orig_h=orig_h, orig_w=orig_w,
@@ -522,35 +518,15 @@ def _decode(model: FlowModel, blob: bytes,
             f"requested {levels} levels but the stream holds {header.level_mask}"
         )
     sections = _split_sections(blob, header, start)
-    spec = header.spec
-    shapes = model.latent_shapes(header.pad_h, header.pad_w)
+    z = [np.zeros((1,) + shape) for shape in reversed(model.latent_shapes(header.pad_h,
+                                                                          header.pad_w))]
 
-    tables = _base_tables(model, spec, header.base_ranges)
-    z0 = _decode_base(sections["z0"], header, tables, shapes[2])
+    def decode(name: str, section: _Section, flat: np.ndarray) -> None:
+        _decode_section(sections[name], section, flat, f"section {_SECTION_LABELS[name]}")
 
-    # level z1
-    chain = DecoderChain(model, z0)
-    mu1, sig1 = (t.data for t in chain.conditionals())
-    z1 = np.zeros((1,) + shapes[1], dtype=np.float64)
-    flat1 = z1.reshape(-1)
-    payload1 = sections["z1"] if levels >= 2.0 else None
-    _decode_conditional(payload1, mu1, sig1, spec.delta1, header.p_thresh,
-                        (0, flat1.size), flat1, "section z1")
-
-    # level z2, possibly split into a transmitted prefix and a mean tail
-    chain.invert(z1)
-    mu2, sig2 = (t.data for t in chain.conditionals())
-    z2 = np.zeros((1,) + shapes[0], dtype=np.float64)
-    flat2 = z2.reshape(-1)
-    cut = header.partial_count
-    payload_a = sections["z2a"] if levels >= 2.5 else None
-    payload_b = sections["z2b"] if levels >= 3.0 else None
-    _decode_conditional(payload_a, mu2, sig2, spec.delta2, header.p_thresh,
-                        (0, cut), flat2, "section z2 (partial)")
-    _decode_conditional(payload_b, mu2, sig2, spec.delta2, header.p_thresh,
-                        (cut, flat2.size), flat2, "section z2")
-
-    return LatentSet(z0=z0, z1=z1, z2=z2), header, chain
+    _, chain = _walk(model, header.spec, header.p_thresh, header.base_ranges, z,
+                     header.partial_count, _sections_at(levels), decode, decoding=True)
+    return LatentSet(*z), header, chain
 
 
 def decode_latents(model: FlowModel, blob: bytes,
@@ -582,7 +558,7 @@ def truncate_bitstream(blob: bytes, target: float) -> bytes:
             f"cannot truncate to {target} levels: stream holds {header.level_mask}"
         )
     sections = _split_sections(blob, header, start)
-    keep = replace(header, level_mask=target).sections_present()
+    keep = _sections_at(target)
     new_header = replace(header, level_mask=target, section_lengths={
         name: (header.section_lengths[name] if name in keep else 0)
         for name in _SECTION_NAMES

@@ -201,15 +201,6 @@ def mean_symbol(mu, delta):
     return np.round(np.asarray(mu, dtype=np.float64) / delta) * delta
 
 
-def skip_boundary_sigma(delta: float, p_thresh: float) -> float:
-    """Scale at which the grid-centered bin mass equals p_thresh.
-
-    For mu on the grid the mass at the mean symbol is 2*sigmoid(d/(2s))-1;
-    it exceeds p_thresh iff s lies below this boundary.
-    """
-    return float(delta) / (2.0 * np.log((1.0 + p_thresh) / (1.0 - p_thresh)))
-
-
 def bits(prob) -> Tensor:
     """-log2 of probabilities (Tensor path)."""
     return T.mul(T.log(T.as_tensor(prob)), -LOG2E)

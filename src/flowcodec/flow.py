@@ -105,13 +105,6 @@ class LatentSet:
     z1: np.ndarray
     z2: np.ndarray
 
-    @classmethod
-    def from_levels(cls, zs: list) -> "LatentSet":
-        return cls(z0=zs[2], z1=zs[1], z2=zs[0])
-
-    def total_elements(self) -> int:
-        return self.z0.size + self.z1.size + self.z2.size
-
 
 class ResNet:
     """stem conv, `blocks` residual blocks, zero-initialized head conv."""

@@ -62,9 +62,6 @@ class ParamStore:
         for t in self._params.values():
             t.zero_grad()
 
-    def num_elements(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:

@@ -10,11 +10,11 @@ A whole slice of symbols, each under its own table, goes through
 `encode_symbols` / `decode_symbols`: numpy gathers every span and
 escape flag of the slice up front, and one tight loop with locals only
 codes them (the decoder bisects each symbol's table starts for its
-slot).  `RangeEncoder` and `RangeDecoder` are per-symbol front ends for
-callers that code one symbol at a time; the encoder collects symbols
-and runs `encode_symbols` at `finish()`.
+slot).  `RangeEncoder` / `RangeDecoder` feed that one path a symbol at
+a time.  A payload that pushes the decoder's code value out of its
+interval, which only the escape slot can do, is corrupt.
 
-Tables map a contiguous integer symbol range [k_min, k_max] plus one
+Tables map a contiguous integer symbol range from k_min plus one
 escape slot to integer frequencies, stored as uint16 cumulative starts:
 every in-range symbol keeps at least one count so anything that occurs
 is codable, and the escape slot is always the last count,
@@ -46,7 +46,7 @@ RAW_MIN, RAW_MAX = -(1 << 31), (1 << 31) - 1  # escaped symbols must fit 32 bits
 
 
 class FrequencyTable:
-    """Integer frequencies over [k_min, k_max] plus a trailing escape slot.
+    """Integer frequencies over symbols from k_min plus a trailing escape slot.
 
     `starts[i]` is the cumulative count before slot i; the escape slot is
     the last one and starts at TOTAL - 1.
@@ -64,36 +64,6 @@ class FrequencyTable:
         starts = np.zeros(len(freqs), dtype=np.uint16)
         np.cumsum(freqs[:-1], out=starts[1:], dtype=np.uint16)
         self.starts = array("H", starts.tobytes())
-
-    @property
-    def k_max(self) -> int:
-        return self.k_min + len(self.starts) - 2
-
-    @property
-    def escape_index(self) -> int:
-        return len(self.starts) - 1
-
-    @property
-    def cum(self) -> np.ndarray:
-        """Cumulative counts, one per slot plus the closing TOTAL."""
-        out = np.empty(len(self.starts) + 1, dtype=np.uint32)
-        out[:-1] = self.starts
-        out[-1] = TOTAL
-        return out
-
-    @property
-    def freqs(self) -> np.ndarray:
-        return np.diff(self.cum)
-
-    def index_of(self, k: int) -> int:
-        """Table slot of symbol k; the escape slot if out of range."""
-        if self.k_min <= k <= self.k_max:
-            return k - self.k_min
-        return self.escape_index
-
-    def span(self, index: int) -> tuple[int, int]:
-        c0 = self.starts[index]
-        return c0, (TOTAL if index == self.escape_index else self.starts[index + 1]) - c0
 
 
 def build_freq_table(probs: np.ndarray, k_min: int) -> FrequencyTable:
@@ -156,13 +126,17 @@ def _encode_spans(cums: Iterable[int], freqs: Iterable[int]) -> bytes:
 
 
 def _decode_slots(data: bytes, tables: Sequence[Sequence[int]], table_of: Iterable[int],
-                  context: str) -> tuple[array, list[int]]:
+                  context: str, state: tuple[int, int, int] | None = None
+                  ) -> tuple[array, list[int], tuple[int, int, int]]:
     """Decode one symbol per entry of `table_of` under the table whose
-    starts are tables[entry]; returns the slot of every symbol and, in
-    stream order, the raw value that follows each escape slot."""
-    if len(data) < 5:
-        raise FormatError(f"truncated {context}: range coder ran out of bytes")
-    code, pos, rng = int.from_bytes(data[1:5], "big"), 5, MASK32  # byte 0: initial cache
+    starts are tables[entry], from the start of data or from a `state`
+    this function returned; returns the slot of every symbol, in stream
+    order the raw value that follows each escape slot, and the state."""
+    if state is None:
+        if len(data) < 5:
+            raise FormatError(f"truncated {context}: range coder ran out of bytes")
+        state = int.from_bytes(data[1:5], "big"), 5, MASK32  # byte 0: initial cache
+    code, pos, rng = state
     slots = array("H")
     raws: list[int] = []
     try:
@@ -170,30 +144,36 @@ def _decode_slots(data: bytes, tables: Sequence[Sequence[int]], table_of: Iterab
             starts = tables[u]
             r = rng >> TOTAL_BITS
             i = bisect_right(starts, code // r) - 1
+            slots.append(i)
             c0 = starts[i]
             code -= c0 * r
-            rng = r if c0 == ESCAPE_CUM else r * (starts[i + 1] - c0)
-            while rng < TOP:
-                code = (code << 8) | data[pos]
-                pos += 1
-                rng <<= 8
-            slots.append(i)
-            if c0 == ESCAPE_CUM:
-                v = 0
-                for _ in range(2):
-                    r = rng >> TOTAL_BITS
-                    half = min(code // r, TOTAL - 1)
-                    code -= half * r
-                    rng = r
-                    while rng < TOP:
-                        code = (code << 8) | data[pos]
-                        pos += 1
-                        rng <<= 8
-                    v = (v << TOTAL_BITS) | half
-                raws.append(v - ((v >> 31) << 32))
+            if c0 != ESCAPE_CUM:
+                rng = r * (starts[i + 1] - c0)
+                while rng < TOP:
+                    code = (code << 8) | data[pos]
+                    pos += 1
+                    rng <<= 8
+                continue
+            # one-count spans: the rest of the escape slot (quotient 0), then
+            # the raw value's two 16-bit halves (quotients below TOTAL); only
+            # here can a payload push code out of [0, rng)
+            v = 0
+            for limit in (1, TOTAL, TOTAL):
+                half = code // r
+                if half >= limit:
+                    raise FormatError(f"corrupt {context}: range coder value left its interval")
+                code -= half * r
+                rng = r
+                while rng < TOP:
+                    code = (code << 8) | data[pos]
+                    pos += 1
+                    rng <<= 8
+                v = (v << TOTAL_BITS) | half
+                r = rng >> TOTAL_BITS
+            raws.append(v - ((v >> 31) << 32))
     except IndexError:
         raise FormatError(f"truncated {context}: range coder ran out of bytes") from None
-    return slots, raws
+    return slots, raws, (code, pos, rng)
 
 
 def encode_symbols(symbols: np.ndarray, table_of: np.ndarray,
@@ -227,78 +207,40 @@ def encode_symbols(symbols: np.ndarray, table_of: np.ndarray,
 def decode_symbols(data: bytes, table_of: np.ndarray, tables: Sequence[FrequencyTable],
                    context: str) -> np.ndarray:
     """Mirror of `encode_symbols`: one int64 symbol per entry of table_of."""
-    slots, raws = _decode_slots(data, [t.starts for t in tables],
-                                memoryview(table_of.astype(np.int64)), context)
+    slots, raws, _ = _decode_slots(data, [t.starts for t in tables],
+                                   memoryview(table_of.astype(np.int64)), context)
     slot = np.frombuffer(slots, dtype=np.uint16).astype(np.int64)
-    escape = slot == np.array([t.escape_index for t in tables], dtype=np.int64)[table_of]
+    escape = slot == np.array([len(t.starts) - 1 for t in tables], dtype=np.int64)[table_of]
     out = np.array([t.k_min for t in tables], dtype=np.int64)[table_of] + slot
     out[escape] = raws
     return out
 
 
 class RangeEncoder:
-    """Per-symbol front end of `encode_symbols`: collects symbols and codes
-    them at `finish()`, which returns the bytes."""
+    """Symbol-at-a-time front end of `encode_symbols`: collects symbols
+    and codes them at `finish()`, which returns the bytes."""
 
     def __init__(self) -> None:
         self._symbols: list[int] = []
-        self._table_of: list[int] = []
-        self._tables: dict[int, tuple[int, FrequencyTable]] = {}  # id -> (index, table)
-        self._payload: bytes | None = None
+        self._tables: list[FrequencyTable] = []
 
     def encode_symbol(self, table: FrequencyTable, k: int) -> None:
-        """Code symbol k under the table, escaping out-of-range values."""
-        if self._payload is not None:
-            raise RuntimeError("encoder already finished")
         self._symbols.append(k)
-        self._table_of.append(self._tables.setdefault(id(table), (len(self._tables), table))[0])
+        self._tables.append(table)
 
     def finish(self) -> bytes:
-        if self._payload is None:
-            self._payload = encode_symbols(np.array(self._symbols, dtype=np.int64),
-                                           np.array(self._table_of, dtype=np.int64),
-                                           [table for _, table in self._tables.values()])
-        return self._payload
+        return encode_symbols(np.array(self._symbols, dtype=np.int64),
+                              np.arange(len(self._tables)), self._tables)
 
 
 class RangeDecoder:
-    """Per-symbol mirror of the encoder over a byte payload; raises on
-    truncation."""
+    """Symbol-at-a-time front end of `decode_symbols`: each call resumes
+    the one decoder loop where the previous call left it."""
 
     def __init__(self, data: bytes, context: str = "payload") -> None:
-        self.data = data
-        self.pos = 0
-        self.context = context
-        self.range = MASK32
-        self._next_byte()  # the encoder's initial cache byte
-        self.code = 0
-        for _ in range(4):
-            self.code = (self.code << 8) | self._next_byte()
-
-    def _next_byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise FormatError(f"truncated {self.context}: range coder ran out of bytes")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def _advance(self, r: int, cum: int, freq: int) -> None:
-        self.code -= cum * r
-        self.range = r * freq
-        while self.range < TOP:
-            self.code = (self.code << 8) | self._next_byte()
-            self.range <<= 8
+        self.data, self.context, self._state = data, context, None
 
     def decode_symbol(self, table: FrequencyTable) -> int:
-        r = self.range >> TOTAL_BITS
-        index = bisect_right(table.starts, self.code // r) - 1
-        self._advance(r, *table.span(index))
-        if index != table.escape_index:
-            return table.k_min + index
-        v = 0
-        for _ in range(2):
-            r = self.range >> TOTAL_BITS
-            half = min(self.code // r, TOTAL - 1)
-            self._advance(r, half, 1)
-            v = (v << TOTAL_BITS) | half
-        return v - ((v >> 31) << 32)
+        (slot,), raws, self._state = _decode_slots(self.data, [table.starts], (0,),
+                                                   self.context, self._state)
+        return raws[0] if raws else table.k_min + slot

@@ -1,4 +1,6 @@
-"""Shared test utilities: independent oracles kept free of package internals.
+"""Shared test utilities: independent oracles kept free of package
+internals, small accessors that only tests need, and drivers of the
+codec's private section coder.
 
 The gradcheck here is the reference for every differentiability claim:
 central finite differences of the scalar loss, compared against the
@@ -9,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+import flowcodec.codec as C
 import flowcodec.tensor as T
+from flowcodec.flow import LatentSet
+from flowcodec.rangecoder import TOTAL
 from flowcodec.tensor import Tensor, no_grad
 
 
@@ -161,3 +166,56 @@ def reference_conditionals(model, level: int, zs: list) -> tuple[np.ndarray, np.
             h = model.levels[i].inverse(Tensor(np.asarray(zs[i], dtype=np.float64)), h)
         mu, sigma = model.conditioning_params(level, h)
     return mu.data, sigma.data
+
+
+def latents_from_levels(zs: list) -> LatentSet:
+    """A LatentSet from levels in transform output order [z2, z1, z0]."""
+    return LatentSet(z0=zs[2], z1=zs[1], z2=zs[0])
+
+
+def total_elements(latents: LatentSet) -> int:
+    return latents.z0.size + latents.z1.size + latents.z2.size
+
+
+def num_elements(params) -> int:
+    """Scalar count over every tensor of a ParamStore."""
+    return sum(t.size for t in params.tensors())
+
+
+def skip_boundary_sigma(delta: float, p_thresh: float) -> float:
+    """Scale at which the grid-centered bin mass equals p_thresh.
+
+    For mu on the grid the mass at the mean symbol is 2*sigmoid(d/(2s))-1;
+    it exceeds p_thresh iff s lies below this boundary.
+    """
+    return float(delta) / (2.0 * np.log((1.0 + p_thresh) / (1.0 - p_thresh)))
+
+
+def cum(table) -> np.ndarray:
+    """Cumulative counts of a FrequencyTable, one per slot plus the closing TOTAL."""
+    return np.append(np.asarray(table.starts, dtype=np.uint32), TOTAL)
+
+
+def freqs(table) -> np.ndarray:
+    """Integer frequency of every slot of a FrequencyTable, escape slot last."""
+    return np.diff(cum(table))
+
+
+def encode_conditional(values, mu, sigma, delta, p_thresh):
+    """Code flat `values` as one conditional section through the codec's
+    encoder side: (payload, effective values after mean substitution,
+    coded-symbol count)."""
+    effective = np.array(values, dtype=np.float64).reshape(-1)
+    section = C._conditional_section(np.reshape(mu, -1), np.reshape(sigma, -1), delta,
+                                     p_thresh, 0, effective.size, effective)
+    return C._encode_section(section, effective), effective, len(section.coded)
+
+
+def decode_conditional(payload, mu, sigma, delta, p_thresh, context):
+    """Mirror of `encode_conditional` through the codec's decoder side:
+    (decoded values, decoded-symbol count)."""
+    out = np.zeros(np.size(mu))
+    section = C._conditional_section(np.reshape(mu, -1), np.reshape(sigma, -1), delta,
+                                     p_thresh, 0, out.size, out)
+    C._decode_section(payload, section, out, context)
+    return out, len(section.coded)

@@ -93,6 +93,24 @@ class TestEncodeDecode:
                    "--out", tmp_path / "o.ppm") == 3
 
 
+    def test_hostile_section_exit_3(self, quick_model_path, test_card, tmp_path):
+        """A consistent header over a z2b section of 0xFF bytes."""
+        import flowcodec.codec as C
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        blob = bs.read_bytes()
+        header, start = C._parse_header(blob)
+        sections = C._split_sections(blob, header, start)
+        sections["z2b"] = b"\xff" * 100_000
+        header.section_lengths["z2b"] = len(sections["z2b"])
+        bs.write_bytes(C._pack_header(header) + b"".join(sections.values()))
+        assert run("inspect", "--bitstream", bs) == 0  # the container is well formed
+        assert run("decode", "--model", quick_model_path, "--bitstream", bs,
+                   "--out", tmp_path / "o.ppm") == 3
+        assert not (tmp_path / "o.ppm").exists()
+
+
 class TestInspectTruncate:
     def test_inspect_full_stream(self, quick_model_path, test_card, tmp_path, capsys):
         bs = tmp_path / "c.nfb"

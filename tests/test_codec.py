@@ -10,7 +10,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import perturb_model, reference_conditionals
+from helpers import (
+    cum,
+    decode_conditional,
+    encode_conditional,
+    freqs,
+    perturb_model,
+    reference_conditionals,
+    skip_boundary_sigma,
+)
 
 import flowcodec.codec as C
 from flowcodec.codec import (
@@ -21,11 +29,11 @@ from flowcodec.codec import (
     pad_to_multiple,
     truncate_bitstream,
 )
-from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol, skip_boundary_sigma
+from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
 from flowcodec.flow import FlowConfig, FlowLevel, FlowModel
 from flowcodec.quantize import round_to_grid
-from flowcodec.rangecoder import TOTAL, FrequencyTable, RangeDecoder, RangeEncoder
+from flowcodec.rangecoder import TOTAL, FrequencyTable
 from flowcodec.tensor import Tensor, no_grad
 
 
@@ -109,6 +117,25 @@ class TestRoundTrip:
         decode_image(model, blob)
         assert calls == {2: 1, 1: 1, 0: 1}
 
+    def test_one_coder_call_per_section(self, model, image, monkeypatch):
+        """A level-3 encode and its decode code each of the four sections
+        with one encode_symbols / decode_symbols call, looked up as module
+        globals of flowcodec.codec, the names a tracer hooks."""
+        spec = spec_for(model, 1.0)
+        encode_image(model, image, spec)  # builds the cell tables this image needs
+        calls = Counter()
+        for name in ("encode_symbols", "decode_symbols", "build_freq_table"):
+            def counted(*args, _name=name, _original=getattr(C, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(C, name, counted)
+        blob = encode_image(model, image, spec, levels=3.0)
+        assert calls == {"encode_symbols": 4, "build_freq_table": model.base_channels}
+        calls.clear()
+        decode_image(model, blob)
+        assert calls == {"decode_symbols": 4, "build_freq_table": model.base_channels}
+
     def test_decode_deterministic(self, model, image):
         blob = encode_image(model, image, spec_for(model, 0.5))
         a = decode_image(model, blob)
@@ -177,13 +204,8 @@ class TestSkipDecisions:
         values = round_to_grid(rng.normal(0, 2, n), delta)
 
         skip_enc = C._skip_mask(mu, sigma, delta, p)
-        payload, effective, coded = C._encode_conditional(
-            values.reshape(1, 1, 1, n), mu.reshape(1, 1, 1, n),
-            sigma.reshape(1, 1, 1, n), delta, p, (0, n))
-        out = np.zeros(n)
-        decoded_count = C._decode_conditional(
-            payload, mu.reshape(1, 1, 1, n), sigma.reshape(1, 1, 1, n),
-            delta, p, (0, n), out, "adversarial")
+        payload, effective, coded = encode_conditional(values, mu, sigma, delta, p)
+        out, decoded_count = decode_conditional(payload, mu, sigma, delta, p, "adversarial")
         assert decoded_count == coded == int((~skip_enc).sum())
         assert np.array_equal(out, effective.reshape(-1))
         assert np.array_equal(out[~skip_enc], values[~skip_enc])
@@ -194,10 +216,8 @@ class TestSkipDecisions:
         mu = np.zeros((1, 1, 1, 3))
         sigma = np.full((1, 1, 1, 3), 0.4)
         values = np.array([0.0, 500.0, -1.0]).reshape(1, 1, 1, 3)
-        payload, effective, coded = C._encode_conditional(
-            values, mu, sigma, 1.0, 0.9, (0, 3))
-        out = np.zeros(3)
-        C._decode_conditional(payload, mu, sigma, 1.0, 0.9, (0, 3), out, "esc")
+        payload, effective, coded = encode_conditional(values, mu, sigma, 1.0, 0.9)
+        out, _ = decode_conditional(payload, mu, sigma, 1.0, 0.9, "esc")
         assert coded == 3
         assert np.array_equal(out, values.reshape(-1))
 
@@ -220,18 +240,19 @@ class TestGridTables:
 
     @staticmethod
     def table_for(m, r, delta):
-        center, sign, table_of, tables = C._cells(np.array([m * delta]),
-                                                  np.array([r * delta]), delta)
-        assert center[0] == round(m) and sign[0] == (-1 if m < round(m) else 1)
-        return tables[table_of[0]]
+        # p_thresh 1 codes every element
+        s = C._conditional_section(np.array([m * delta]), np.array([r * delta]), delta, 1.0,
+                                   0, 1, np.zeros(1))
+        assert s.center[0] == round(m) and s.sign[0] == (-1 if m < round(m) else 1)
+        return s.tables[s.table_of[0]]
 
     def test_starts_total_and_floors(self):
         for m, r, delta in self.cases():
             table = self.table_for(m, r, delta)
             assert len(table.starts) <= 2 * 8191 + 2
-            cum = table.cum
-            assert cum[0] == 0 and cum[-1] == TOTAL, (m, r, delta)
-            assert table.freqs.min() >= 1, (m, r, delta)
+            counts = cum(table)
+            assert counts[0] == 0 and counts[-1] == TOTAL, (m, r, delta)
+            assert freqs(table).min() >= 1, (m, r, delta)
 
     def test_random_symbols_roundtrip_with_escapes(self):
         rng = np.random.default_rng(96)
@@ -244,11 +265,10 @@ class TestGridTables:
         values = (np.round(m) + offset) * delta
         shape = (1, 1, 1, n)
         mu, sigma = (m * delta).reshape(shape), (r * delta).reshape(shape)
-        payload, effective, coded = C._encode_conditional(
-            values.reshape(shape), mu, sigma, delta, 1.0, (0, n))
-        out = np.zeros(n)
-        assert C._decode_conditional(payload, mu, sigma, delta, 1.0, (0, n), out,
-                                     "sweep") == coded == n
+        payload, effective, coded = encode_conditional(values.reshape(shape), mu, sigma,
+                                                       delta, 1.0)
+        out, decoded_count = decode_conditional(payload, mu, sigma, delta, 1.0, "sweep")
+        assert decoded_count == coded == n
         assert np.array_equal(out, values)
 
     def test_cell_tables_do_not_depend_on_the_cache(self, monkeypatch):
@@ -271,8 +291,8 @@ class TestGridTables:
         m_lo, m_hi = C._OFFSET_M[0], C._OFFSET_M[top]
         for a, b in ((0, 0), (0, m_lo), (top, 0), (top, m_hi)):
             table = C._cell_table(a * C._OFFSET_SLOTS + int(b))
-            assert table.freqs.min() >= 1
-            assert table.freqs[-1] == 1
+            assert freqs(table).min() >= 1
+            assert freqs(table)[-1] == 1
         with pytest.raises(NumericError, match="at least one"):
             FrequencyTable(0, np.array([TOTAL - 1, 0, 1]))
 
@@ -522,6 +542,19 @@ class TestContainer:
             encode_image(model, image, spec_for(model, 1.0))
         with pytest.raises(FormatError, match="pixel limit"):
             inspect_bitstream(blob)
+
+    def test_hostile_section_is_corrupt(self, model, image):
+        """A z2b section of 100,000 0xFF bytes, with its length and the
+        header CRC consistent, is refused as corrupt instead of decoding
+        into garbage while the coder's code value grows each symbol."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        sections = C._split_sections(blob, header, start)
+        sections["z2b"] = b"\xff" * 100_000
+        header.section_lengths["z2b"] = len(sections["z2b"])
+        hostile = C._pack_header(header) + b"".join(sections.values())
+        with pytest.raises(FormatError, match="corrupt section z2"):
+            decode_image(model, hostile)
 
     def test_trailing_bytes_rejected(self, model, image):
         blob = encode_image(model, image[:, :16, :16], spec_for(model, 1.0)) + b"xx"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import gradcheck
+from helpers import gradcheck, skip_boundary_sigma
 
 import flowcodec.tensor as T
 from flowcodec.entropy import (
@@ -15,7 +15,6 @@ from flowcodec.entropy import (
     logistic_bin_prob,
     mean_symbol,
     sigmoid_np,
-    skip_boundary_sigma,
 )
 from flowcodec.tensor import Tensor
 

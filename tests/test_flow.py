@@ -5,11 +5,11 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import perturb_model
+from helpers import latents_from_levels, perturb_model, total_elements
 
 import flowcodec.tensor as T
 from flowcodec.errors import FormatError
-from flowcodec.flow import AdditiveCoupling, DecoderChain, FlowConfig, FlowModel, LatentSet
+from flowcodec.flow import AdditiveCoupling, DecoderChain, FlowConfig, FlowModel
 from flowcodec.params import ParamStore
 from flowcodec.tensor import Tensor
 
@@ -41,8 +41,8 @@ class TestChannelBookkeeping:
     def test_element_conservation(self, model):
         x = Tensor(np.random.default_rng(72).normal(size=(1, 3, 16, 32)))
         zs, _ = model.forward(x)
-        latents = LatentSet.from_levels([z.data for z in zs])
-        assert latents.total_elements() == x.size
+        latents = latents_from_levels([z.data for z in zs])
+        assert total_elements(latents) == x.size
 
     def test_indivisible_extents_rejected(self, model):
         with pytest.raises(ValueError, match="divisible"):

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from helpers import cum, freqs
 
 from flowcodec.errors import FormatError, NumericError
 from flowcodec.rangecoder import (
     TOTAL,
-    FrequencyTable,
     RangeDecoder,
     RangeEncoder,
+    _decode_slots,
     build_freq_table,
+    decode_symbols,
+    encode_symbols,
 )
 
 
@@ -18,34 +21,36 @@ class TestFrequencyTable:
         # budget 65533 after escape and two floors; remainders tie, lower
         # index takes the spare count first
         table = build_freq_table(np.array([0.5, 0.5]), k_min=0)
-        assert table.freqs.tolist() == [32768, 32767, 1]
-        assert int(table.cum[-1]) == TOTAL
+        assert freqs(table).tolist() == [32768, 32767, 1]
+        assert int(cum(table)[-1]) == TOTAL
 
     def test_tiny_probability_floored_to_one(self):
         table = build_freq_table(np.array([1.0, 1e-12]), k_min=-1)
-        assert table.freqs[1] == 1
-        assert int(table.freqs.sum()) == TOTAL
+        assert freqs(table)[1] == 1
+        assert int(freqs(table).sum()) == TOTAL
 
     def test_every_in_range_frequency_positive(self):
         rng = np.random.default_rng(50)
         probs = np.clip(rng.exponential(size=500) ** 4, 1e-12, None)
         table = build_freq_table(probs, k_min=10)
-        assert np.all(table.freqs >= 1)
-        assert int(table.freqs.sum()) == TOTAL
+        assert np.all(freqs(table) >= 1)
+        assert int(freqs(table).sum()) == TOTAL
 
     def test_deterministic(self):
         rng = np.random.default_rng(51)
         probs = rng.exponential(size=64)
         a = build_freq_table(probs, 0)
         b = build_freq_table(probs.copy(), 0)
-        assert np.array_equal(a.freqs, b.freqs)
+        assert np.array_equal(freqs(a), freqs(b))
 
     def test_escape_index_for_out_of_range(self):
         table = build_freq_table(np.array([0.7, 0.3]), k_min=5)
-        assert table.index_of(5) == 0
-        assert table.index_of(6) == 1
-        assert table.index_of(4) == table.escape_index
-        assert table.index_of(99) == table.escape_index
+        symbols = [5, 6, 4, 99]
+        payload, decoded = roundtrip([table] * 4, symbols)
+        assert decoded == symbols
+        slots, raws, _ = _decode_slots(payload, [table.starts], [0] * 4, "test")
+        assert slots.tolist() == [0, 1, 2, 2]  # 4 and 99 take the escape slot
+        assert raws == [4, 99]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(NumericError):
@@ -57,13 +62,13 @@ class TestFrequencyTable:
 
 
 def roundtrip(tables, symbols):
-    enc = RangeEncoder()
-    for table, k in zip(tables, symbols):
-        enc.encode_symbol(table, k)
-    payload = enc.finish()
-    dec = RangeDecoder(payload, "test")
-    decoded = [dec.decode_symbol(table) for table in tables]
-    return payload, decoded
+    """Code symbols[i] under tables[i] with encode_symbols / decode_symbols."""
+    distinct = list({id(t): t for t in tables}.values())
+    index = {id(t): i for i, t in enumerate(distinct)}
+    table_of = np.array([index[id(t)] for t in tables], dtype=np.int64)
+    payload = encode_symbols(np.array(symbols, dtype=np.int64), table_of, distinct)
+    decoded = decode_symbols(payload, table_of, distinct, "test")
+    return payload, decoded.tolist()
 
 
 class TestRoundTrip:
@@ -71,6 +76,29 @@ class TestRoundTrip:
         payload, decoded = roundtrip([], [])
         assert decoded == []
         assert len(payload) == 5
+
+    def test_short_payload_names_the_context(self):
+        table = build_freq_table(np.array([0.9, 0.1]), 0)
+        for n in range(5):
+            for table_of in (np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64)):
+                with pytest.raises(FormatError, match="section z1"):
+                    decode_symbols(bytes(n), table_of, [table], "section z1")
+
+    def test_symbol_at_a_time_front_ends(self):
+        """RangeEncoder / RangeDecoder feed the one coder path: same bytes
+        as encode_symbols, same symbols back, escapes included."""
+        rng = np.random.default_rng(58)
+        tables = [build_freq_table(rng.exponential(size=8) + 1e-3, -4) for _ in range(3)]
+        picks = rng.integers(0, 3, size=300)
+        outlier = np.where(rng.random(300) < 0.1, 1000, 0)  # escapes
+        symbols = (rng.integers(-4, 4, size=300) + outlier).tolist()
+        enc = RangeEncoder()
+        for u, k in zip(picks, symbols):
+            enc.encode_symbol(tables[u], k)
+        payload = enc.finish()
+        assert payload == roundtrip([tables[u] for u in picks], symbols)[0]
+        dec = RangeDecoder(payload, "test")
+        assert [dec.decode_symbol(tables[u]) for u in picks] == symbols
 
     def test_single_symbol(self):
         table = build_freq_table(np.array([0.9, 0.1]), 0)
@@ -125,17 +153,22 @@ class TestRoundTrip:
 
     def test_truncated_payload_raises(self):
         table = build_freq_table(np.full(16, 1 / 16), 0)
-        enc = RangeEncoder()
         rng = np.random.default_rng(55)
-        symbols = rng.integers(0, 16, size=500).tolist()
-        for k in symbols:
-            enc.encode_symbol(table, k)
-        payload = enc.finish()
-        dec = RangeDecoder(payload[: len(payload) // 2], "level z1")
+        symbols = rng.integers(0, 16, size=500)
+        table_of = np.zeros(500, dtype=np.int64)
+        payload = encode_symbols(symbols, table_of, [table])
         with pytest.raises(FormatError, match="level z1"):
-            for _ in range(500):
-                dec.decode_symbol(table)
+            decode_symbols(payload[: len(payload) // 2], table_of, [table], "level z1")
 
+    def test_hostile_payload_is_corrupt_not_slow(self):
+        """All-0xFF bytes put the code value beyond its interval through the
+        escape slot; the decoder refuses at once instead of growing the
+        code value by 16 bits a symbol until the bytes run out."""
+        table = build_freq_table(np.full(16, 1 / 16), 0)
+        table_of = np.zeros(1 << 15, dtype=np.int64)
+        with pytest.raises(FormatError, match="corrupt section z2") as info:
+            decode_symbols(b"\xff" * (1 << 16), table_of, [table], "section z2")
+        assert "ran out" not in str(info.value)
 
 class TestEfficiency:
     def test_within_one_percent_of_shannon(self):
@@ -145,24 +178,19 @@ class TestEfficiency:
         probs /= probs.sum()
         table = build_freq_table(probs, 0)
         symbols = rng.choice(100, size=10000, p=probs)
-        enc = RangeEncoder()
-        for k in symbols:
-            enc.encode_symbol(table, int(k))
-        coded_bits = 8 * len(enc.finish())
+        table_of = np.zeros(10000, dtype=np.int64)
+        payload = encode_symbols(symbols, table_of, [table])
+        coded_bits = 8 * len(payload)
         ideal_bits = float(-np.log2(probs[symbols]).sum())
         assert coded_bits <= ideal_bits * 1.01 + 64
         # and decoding still round-trips
-        dec = RangeDecoder(enc.finish(), "eff")
-        assert [dec.decode_symbol(table) for _ in range(10000)] == symbols.tolist()
+        assert decode_symbols(payload, table_of, [table], "eff").tolist() == symbols.tolist()
 
     def test_skewed_distribution_efficiency(self):
         rng = np.random.default_rng(57)
         probs = np.array([0.90, 0.07, 0.02, 0.005, 0.005])
         table = build_freq_table(probs, 0)
         symbols = rng.choice(5, size=10000, p=probs)
-        enc = RangeEncoder()
-        for k in symbols:
-            enc.encode_symbol(table, int(k))
-        coded_bits = 8 * len(enc.finish())
+        coded_bits = 8 * len(encode_symbols(symbols, np.zeros(10000, dtype=np.int64), [table]))
         ideal_bits = float(-np.log2(probs[symbols]).sum())
         assert coded_bits <= ideal_bits * 1.01 + 64
