@@ -31,6 +31,29 @@ identical immutable table and `dict.setdefault` keeps one of them, so
 the race costs a duplicate build and nothing else.  Skip decisions use
 the exact `logistic_bin_prob`, not the grid.
 
+z0's bin masses are a function of (model, delta0, symbol) alone.  The
+prior is evaluated in canonical blocks: block b holds the masses of
+symbols [128 b, 128 b + 128) for every base channel, always computed by
+one `bin_prob` call at shape (channels, 128), and a channel's header
+range [lo, hi] is a slice of its consecutive blocks.  Blocks are cached
+for the life of the process under (model id, delta0 bytes, b), with the
+model id that the header carries, so a model loaded twice shares them.
+The cache holds at most `_BLOCK_CAP` (16 MiB) of masses, oldest block
+evicted first: 341 blocks of a 48-channel model, more than the 257 that
+one channel's widest legal range spans, and 16 times the 21 blocks the
+benchmark ladder's three step sets use.  A hostile header can make a
+decode evaluate many blocks, but not grow the cache past the cap.  A
+lock guards the cache's dict and eviction; blocks are read-only, and two
+threads that miss on the same block compute identical masses, so
+whichever copy is kept serves both.  The blocks are canonical rather
+than cut from the widest range seen so far because the prior's matrix
+products round differently at different array shapes: on the benchmark
+model at step 0.25, a slice of one evaluation over [-1500, 1500) differs
+from a direct evaluation of the slice, by up to 4.4e-16, for 139 of 280
+random (lo, width) draws, so a decoder's tables would depend on its
+cache history.  One `build_freq_tables` call then quantizes every
+channel's slice.
+
 Container layout (`NFB1`, version 3, little-endian): a CRC-protected
 header (model id, original and padded extents, quantization steps,
 threshold, level mask, per-channel base symbol ranges, section byte
@@ -49,6 +72,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -61,7 +85,7 @@ from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
 from .quantize import grid_index, round_to_grid
 from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: benchmark trace hook names)
     MAX_SYMBOLS, RAW_MAX, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
-    decode_symbols, encode_symbols,
+    build_freq_tables, decode_symbols, encode_symbols,
 )
 from .tensor import Tensor, no_grad
 
@@ -282,6 +306,36 @@ def _cell_table(key: int) -> FrequencyTable:
 
 # -- base level (z0) --------------------------------------------------------------
 
+# Canonical blocks of the base prior; see the module docstring.
+_BLOCK = 128  # symbols per block
+_BLOCK_CAP = 16 << 20  # bytes of cached blocks, for every model and step set together
+_BLOCKS: dict[tuple[bytes, bytes, int], np.ndarray] = {}  # (model id, delta0, b) -> masses
+_BLOCKS_LOCK = threading.Lock()
+
+
+def _prior_blocks(model: FlowModel, model_id: bytes, delta0: np.ndarray,
+                  needed: set[int]) -> dict[int, np.ndarray]:
+    """Block b of every base channel's bin masses, over the symbols
+    [128 b, 128 b + 128), for each b in `needed`: from the cache, or
+    evaluated at the one block shape and cached, oldest blocks evicted
+    past the byte cap."""
+    steps = delta0.tobytes()
+    with _BLOCKS_LOCK:
+        blocks = {b: _BLOCKS.get((model_id, steps, b)) for b in needed}
+    for b, block in blocks.items():
+        if block is not None:
+            continue
+        values = (b * _BLOCK + np.arange(_BLOCK, dtype=np.float64)) * delta0[:, None]
+        block = model.prior.bin_prob(Tensor(values), delta0).data
+        block.flags.writeable = False
+        with _BLOCKS_LOCK:
+            # a racing thread evaluated the identical block; either copy serves
+            blocks[b] = _BLOCKS.setdefault((model_id, steps, b), block)
+            cached = sum(v.nbytes for v in _BLOCKS.values())
+            while cached > _BLOCK_CAP:
+                cached -= _BLOCKS.pop(next(iter(_BLOCKS))).nbytes
+    return blocks
+
 
 def _base_ranges(z0_hat: np.ndarray, spec: QuantSpec) -> list[tuple[int, int]]:
     ranges = []
@@ -318,19 +372,19 @@ class _Section(NamedTuple):
     step: np.ndarray | float
 
 
-def _base_section(model: FlowModel, spec: QuantSpec, ranges: list[tuple[int, int]],
-                  n: int) -> _Section:
+def _base_section(model: FlowModel, model_id: bytes, spec: QuantSpec,
+                  ranges: list[tuple[int, int]], n: int) -> _Section:
     """The n elements of z0 as a section: centre 0, sign +1 and the prior
-    table of each element's channel over its header-declared symbol range.
-
-    The tables come from one padded prior call, so coder and rate paths
-    share the exact same CDF code.
-    """
-    widths = [hi - lo + 1 for lo, hi in ranges]
-    values = np.array([(lo + np.arange(max(widths), dtype=np.float64)) * step
-                       for (lo, _), step in zip(ranges, spec.delta0)])
-    probs = model.prior.bin_prob(Tensor(values), spec.delta0).data
-    tables = [build_freq_table(p[:w], lo) for p, w, (lo, _) in zip(probs, widths, ranges)]
+    table of each element's channel over its header-declared symbol range,
+    sliced out of the canonical blocks of the model `model_id` names."""
+    blocks = _prior_blocks(model, model_id, spec.delta0,
+                           {b for lo, hi in ranges for b in range(lo // _BLOCK, hi // _BLOCK + 1)})
+    rows = []
+    for c, (lo, hi) in enumerate(ranges):
+        first = lo // _BLOCK
+        masses = np.concatenate([blocks[b][c] for b in range(first, hi // _BLOCK + 1)])
+        rows.append(masses[lo - first * _BLOCK : hi - first * _BLOCK + 1])
+    tables = build_freq_tables(rows, [lo for lo, _ in ranges])
     channel = np.repeat(np.arange(len(tables)), n // len(tables))
     return _Section(np.arange(n), 0, 1, channel, tables, spec.delta0[channel])
 
@@ -373,8 +427,8 @@ def _decode_section(payload: bytes, s: _Section, flat: np.ndarray, context: str)
     flat[s.coded] = (s.center + s.sign * js) * s.step
 
 
-def _walk(model: FlowModel, spec: QuantSpec, p_thresh: float, ranges: list[tuple[int, int]],
-          z: list[np.ndarray], cut: int, present: list[str],
+def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
+          ranges: list[tuple[int, int]], z: list[np.ndarray], cut: int, present: list[str],
           code: Callable[[str, _Section, np.ndarray], bytes | None],
           decoding: bool) -> tuple[dict[str, bytes | None], DecoderChain | None]:
     """Walk the sections in stream order up the decoder chain, over the
@@ -385,10 +439,21 @@ def _walk(model: FlowModel, spec: QuantSpec, p_thresh: float, ranges: list[tuple
     of a section not present holds its mean symbol.  An encoder's walk
     stops after its last section; a decoder's walks every level and
     returns the chain with every level but the finest inverted, and a
-    step that the cells cannot take is a format error.
+    step that the prior or the cells cannot take is a format error.
     """
+
+    def uncodable(name: str, step: str, exc: NumericError) -> Exception:
+        if not decoding:
+            return exc
+        # the encoder fails on the same elements, so no stream codes them
+        return FormatError(f"section {_SECTION_LABELS[name]}: {step} cannot be coded ({exc})")
+
     flat = z[0].reshape(-1)
-    out = {"z0": code("z0", _base_section(model, spec, ranges, flat.size), flat)}
+    try:
+        section = _base_section(model, model_id, spec, ranges, flat.size)
+    except NumericError as exc:
+        raise uncodable("z0", "the base steps", exc) from None
+    out = {"z0": code("z0", section, flat)}
     chain = None
     for level, delta, parts in ((1, spec.delta1, (("z1", 0, z[1].size),)),
                                 (2, spec.delta2, (("z2a", 0, cut), ("z2b", cut, z[2].size)))):
@@ -407,11 +472,7 @@ def _walk(model: FlowModel, spec: QuantSpec, p_thresh: float, ranges: list[tuple
             try:
                 section = _conditional_section(mu, sigma, delta, p_thresh, lo, hi, flat)
             except NumericError as exc:
-                if not decoding:
-                    raise
-                # the encoder fails on the same elements, so no stream codes them
-                raise FormatError(f"section {_SECTION_LABELS[name]}: step {delta!r} "
-                                  f"cannot be coded ({exc})") from None
+                raise uncodable(name, f"step {delta!r}", exc) from None
             out[name] = code(name, section, flat)
     return out, chain
 
@@ -459,13 +520,14 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
 
     ranges = _base_ranges(z0, spec)
     partial_count = int(np.ceil(partial_frac * z2[0].size))
-    sections, _ = _walk(model, spec, p_thresh, ranges, [z0, z1, z2], partial_count,
+    model_id = model.model_id
+    sections, _ = _walk(model, model_id, spec, p_thresh, ranges, [z0, z1, z2], partial_count,
                         _sections_at(levels),
                         lambda _, section, flat: _encode_section(section, flat),
                         decoding=False)
 
     header = Header(
-        model_id=model.model_id, orig_h=orig_h, orig_w=orig_w,
+        model_id=model_id, orig_h=orig_h, orig_w=orig_w,
         pad_h=padded.shape[1], pad_w=padded.shape[2],
         channels=model.config.in_channels, p_thresh=p_thresh, level_mask=levels,
         partial_frac=partial_frac, partial_count=partial_count,
@@ -524,7 +586,7 @@ def _decode(model: FlowModel, blob: bytes,
     def decode(name: str, section: _Section, flat: np.ndarray) -> None:
         _decode_section(sections[name], section, flat, f"section {_SECTION_LABELS[name]}")
 
-    _, chain = _walk(model, header.spec, header.p_thresh, header.base_ranges, z,
+    _, chain = _walk(model, header.model_id, header.spec, header.p_thresh, header.base_ranges, z,
                      header.partial_count, _sections_at(levels), decode, decoding=True)
     return LatentSet(*z), header, chain
 

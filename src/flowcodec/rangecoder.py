@@ -20,6 +20,10 @@ every in-range symbol keeps at least one count so anything that occurs
 is codable, and the escape slot is always the last count,
 [TOTAL - 1, TOTAL).  An escape is followed in the stream by the raw
 signed 32-bit symbol value, as two uniform 16-bit halves (high first).
+`build_freq_tables` quantizes many probability rows in one vectorized
+pass, each row to the table it would get alone; `build_freq_table` is
+its one-row case.  A section's code ends exactly where its bytes end,
+so bytes after it make the section corrupt.
 
 Tables are immutable once built and may be shared by any number of
 threads; one coder state per stream, single-threaded per stream.
@@ -67,35 +71,59 @@ class FrequencyTable:
 
 
 def build_freq_table(probs: np.ndarray, k_min: int) -> FrequencyTable:
-    """Quantize positive bin probabilities to integer counts totalling 2^16.
+    """The one-row case of `build_freq_tables`."""
+    return build_freq_tables([probs], [k_min])[0]
 
-    One count goes to the escape slot first; every in-range symbol gets a
-    one-count floor; the remaining mass is distributed by largest
-    remainder, ties resolved to the lower index first.  Deterministic for
+
+def build_freq_tables(rows: Sequence[np.ndarray], k_mins: Sequence[int]) -> list[FrequencyTable]:
+    """Quantize rows of positive bin probabilities to integer counts
+    totalling 2^16 each, row i over the symbols from k_mins[i].
+
+    Per row, one count goes to the escape slot first; every in-range
+    symbol gets a one-count floor; the remaining mass is distributed by
+    largest remainder, ties resolved to the lower index first.  All rows
+    go through one vectorized pass, and each row's table equals the one
+    it gets alone: its sum is taken over its own slice (numpy's pairwise
+    sum groups by length, so a padded or concatenated sum can differ in
+    the last bit), and the winners of a row are the remainders above its
+    deficit-th largest, then the lowest-indexed ties.  Deterministic for
     identical float inputs.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    n = probs.size
-    if n == 0:
+    rows = [np.asarray(row, dtype=np.float64).reshape(-1) for row in rows]
+    widths = np.array([row.size for row in rows], dtype=np.int64)
+    if widths.min() == 0:
         raise NumericError("cannot build a table over zero symbols")
-    if n > MAX_SYMBOLS:
-        raise NumericError(f"table of {n} symbols exceeds the {MAX_SYMBOLS} guard")
+    if widths.max() > MAX_SYMBOLS:
+        raise NumericError(f"table of {widths.max()} symbols exceeds the {MAX_SYMBOLS} guard")
+    probs = np.concatenate(rows)
     if np.any(probs <= 0) or not np.all(np.isfinite(probs)):
         raise NumericError("probabilities must be positive and finite")
 
-    budget = TOTAL - 1 - n  # escape count and per-symbol floors reserved
-    p = probs / probs.sum()
-    ideal = p * budget
+    n, longest = len(rows), int(widths.max())
+    first = np.cumsum(widths) - widths
+    row = np.repeat(np.arange(n), widths)
+    budget = TOTAL - 1 - widths  # escape count and per-symbol floors reserved
+    ideal = probs / np.array([r.sum() for r in rows])[row] * budget[row]
     base = np.floor(ideal)
-    deficit = budget - int(base.sum())
-    counts = base.astype(np.uint32) + 1
-    if deficit:
-        order = np.argsort(-(ideal - base), kind="stable")
-        counts[order[:deficit]] += 1
-    freqs = np.empty(n + 1, dtype=np.uint32)
-    freqs[:n] = counts
-    freqs[n] = 1
-    return FrequencyTable(k_min, freqs)
+    remainder = ideal - base
+    deficit = budget - np.add.reduceat(base, first).astype(np.int64)
+    # each row's remainders sorted after -1 padding and before a closing 2,
+    # which is the cut of a row without deficit
+    ranked = np.full((n, longest + 1), -1.0)
+    ranked[:, -1] = 2.0
+    ranked[row, np.arange(probs.size) - first[row]] = remainder
+    ranked.sort(axis=1)
+    cut = ranked[np.arange(n), longest - deficit]
+    above = remainder > cut[row]
+    tie = remainder == cut[row]
+    ties_before = np.cumsum(tie) - tie
+    ties_before -= ties_before[first][row]
+    wins = above | (tie & (ties_before < (deficit - np.add.reduceat(above, first))[row]))
+    freqs = np.ones(probs.size + n, dtype=np.uint32)  # the escape slot closes each row
+    freqs[np.arange(probs.size) + row] = base.astype(np.uint32) + 1 + wins
+    ends = np.cumsum(widths + 1)
+    return [FrequencyTable(k_min, freqs[end - width - 1 : end])
+            for k_min, width, end in zip(k_mins, widths.tolist(), ends.tolist())]
 
 
 def _shift_low(low: int, cache: int, pending: int, out: bytearray) -> tuple[int, int, int]:
@@ -207,8 +235,10 @@ def encode_symbols(symbols: np.ndarray, table_of: np.ndarray,
 def decode_symbols(data: bytes, table_of: np.ndarray, tables: Sequence[FrequencyTable],
                    context: str) -> np.ndarray:
     """Mirror of `encode_symbols`: one int64 symbol per entry of table_of."""
-    slots, raws, _ = _decode_slots(data, [t.starts for t in tables],
-                                   memoryview(table_of.astype(np.int64)), context)
+    slots, raws, (_, pos, _) = _decode_slots(data, [t.starts for t in tables],
+                                             memoryview(table_of.astype(np.int64)), context)
+    if pos != len(data):  # the encoder's flush ends exactly where the decoder stops reading
+        raise FormatError(f"{context}: {len(data) - pos} bytes after the end of the code")
     slot = np.frombuffer(slots, dtype=np.uint16).astype(np.int64)
     escape = slot == np.array([len(t.starts) - 1 for t in tables], dtype=np.int64)[table_of]
     out = np.array([t.k_min for t in tables], dtype=np.int64)[table_of] + slot

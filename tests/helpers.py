@@ -201,6 +201,19 @@ def freqs(table) -> np.ndarray:
     return np.diff(cum(table))
 
 
+def largest_remainder_freqs(probs) -> np.ndarray:
+    """Oracle for one row of `build_freq_tables`: an escape count and
+    one-count floors reserved, the rest by largest remainder with one
+    stable sort (ties to the lower index), the escape count last."""
+    probs = np.asarray(probs, dtype=np.float64)
+    budget = TOTAL - 1 - probs.size
+    ideal = probs / probs.sum() * budget
+    counts = np.floor(ideal).astype(np.int64) + 1
+    order = np.argsort(-(ideal - np.floor(ideal)), kind="stable")
+    counts[order[: budget + probs.size - int(counts.sum())]] += 1
+    return np.append(counts, 1)
+
+
 def encode_conditional(values, mu, sigma, delta, p_thresh):
     """Code flat `values` as one conditional section through the codec's
     encoder side: (payload, effective values after mean substitution,

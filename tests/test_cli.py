@@ -111,6 +111,24 @@ class TestEncodeDecode:
         assert not (tmp_path / "o.ppm").exists()
 
 
+    def test_unread_section_bytes_exit_3(self, quick_model_path, test_card, tmp_path):
+        """800 junk bytes after the code of z0, length and CRC consistent."""
+        import flowcodec.codec as C
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        blob = bs.read_bytes()
+        header, start = C._parse_header(blob)
+        sections = C._split_sections(blob, header, start)
+        sections["z0"] += bytes(800)
+        header.section_lengths["z0"] = len(sections["z0"])
+        bs.write_bytes(C._pack_header(header) + b"".join(sections.values()))
+        assert run("inspect", "--bitstream", bs) == 0
+        assert run("decode", "--model", quick_model_path, "--bitstream", bs,
+                   "--out", tmp_path / "o.ppm") == 3
+        assert not (tmp_path / "o.ppm").exists()
+
+
 class TestInspectTruncate:
     def test_inspect_full_stream(self, quick_model_path, test_card, tmp_path, capsys):
         bs = tmp_path / "c.nfb"

@@ -29,7 +29,7 @@ from flowcodec.codec import (
     pad_to_multiple,
     truncate_bitstream,
 )
-from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol
+from flowcodec.entropy import FactorizedPrior, QuantSpec, logistic_bin_prob, mean_symbol
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
 from flowcodec.flow import FlowConfig, FlowLevel, FlowModel
 from flowcodec.quantize import round_to_grid
@@ -120,21 +120,30 @@ class TestRoundTrip:
     def test_one_coder_call_per_section(self, model, image, monkeypatch):
         """A level-3 encode and its decode code each of the four sections
         with one encode_symbols / decode_symbols call, looked up as module
-        globals of flowcodec.codec, the names a tracer hooks."""
+        globals of flowcodec.codec, the names a tracer hooks.  With warm
+        caches neither side evaluates the prior or builds a table per
+        channel: z0's tables come from one batched build."""
         spec = spec_for(model, 1.0)
-        encode_image(model, image, spec)  # builds the cell tables this image needs
+        encode_image(model, image, spec)  # warms the cell tables and prior blocks it needs
         calls = Counter()
-        for name in ("encode_symbols", "decode_symbols", "build_freq_table"):
+        for name in ("encode_symbols", "decode_symbols", "build_freq_table", "build_freq_tables"):
             def counted(*args, _name=name, _original=getattr(C, name)):
                 calls[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(C, name, counted)
+        bin_prob = FactorizedPrior.bin_prob
+
+        def counted_prior(*args):
+            calls["bin_prob"] += 1
+            return bin_prob(*args)
+
+        monkeypatch.setattr(FactorizedPrior, "bin_prob", counted_prior)
         blob = encode_image(model, image, spec, levels=3.0)
-        assert calls == {"encode_symbols": 4, "build_freq_table": model.base_channels}
+        assert calls == {"encode_symbols": 4, "build_freq_tables": 1}
         calls.clear()
         decode_image(model, blob)
-        assert calls == {"decode_symbols": 4, "build_freq_table": model.base_channels}
+        assert calls == {"decode_symbols": 4, "build_freq_tables": 1}
 
     def test_decode_deterministic(self, model, image):
         blob = encode_image(model, image, spec_for(model, 0.5))
@@ -307,7 +316,9 @@ class TestGridTables:
 
     def test_threads_share_the_cache(self, model, image, monkeypatch):
         """Encodes and decodes in 4 threads over one shared model, starting
-        from an empty cache, give the bytes and decodes of sequential runs."""
+        from empty cell and prior-block caches, give the bytes and decodes
+        of sequential runs; a cap of four prior blocks makes the threads
+        evict each other's blocks as they go."""
         jobs = [(img, step) for img in (image, image[:, :16, :24]) for step in (0.25, 1.0, 4.0)]
 
         def run(job):
@@ -316,8 +327,11 @@ class TestGridTables:
             return blob, decode_image(model, blob)
 
         monkeypatch.setattr(C, "_CELLS", {})
+        monkeypatch.setattr(C, "_BLOCKS", {})
         expected = [run(job) for job in jobs]
         monkeypatch.setattr(C, "_CELLS", {})
+        monkeypatch.setattr(C, "_BLOCKS", {})
+        monkeypatch.setattr(C, "_BLOCK_CAP", 4 * model.base_channels * C._BLOCK * 8)
         results, errors = {}, []
 
         def worker(offset):
@@ -344,6 +358,52 @@ class TestGridTables:
         for (_, j), (blob, out) in results.items():
             assert blob == expected[j][0]
             assert np.array_equal(out, expected[j][1])
+        assert sum(block.nbytes for block in C._BLOCKS.values()) <= C._BLOCK_CAP
+
+
+class TestPriorBlocks:
+    """z0's bin masses come from canonical blocks of the prior, cached per
+    (model id, delta0, block); tables and bytes never depend on what the
+    cache held."""
+
+    JOBS = [(crop, step) for crop in (None, (16, 24)) for step in (0.25, 1.0, 4.0)]
+
+    @staticmethod
+    def encode(model, image, job):
+        crop, step = job
+        img = image if crop is None else image[:, : crop[0], : crop[1]]
+        return encode_image(model, img, spec_for(model, step))
+
+    def test_cold_and_warm_caches_give_the_same_bytes(self, model, image, monkeypatch):
+        """Encodes from an empty block cache, and in two orders of images
+        and steps over a warming one, give identical bytes; a decode from
+        an empty cache equals the warm decode."""
+        cold = []
+        for job in self.JOBS:
+            monkeypatch.setattr(C, "_BLOCKS", {})
+            cold.append(self.encode(model, image, job))
+        for order in (self.JOBS, self.JOBS[::-1]):
+            monkeypatch.setattr(C, "_BLOCKS", {})
+            warm = {job: self.encode(model, image, job) for job in order}
+            assert [warm[job] for job in self.JOBS] == cold
+        for blob in cold:
+            warm_out = decode_image(model, blob)
+            monkeypatch.setattr(C, "_BLOCKS", {})
+            assert np.array_equal(decode_image(model, blob), warm_out)
+
+    def test_cache_stays_within_its_cap(self, model, image, monkeypatch):
+        """Decoding streams with 100 distinct delta0 vectors keeps the
+        cached blocks within the byte cap, evicting the oldest first."""
+        rng = np.random.default_rng(97)
+        steps = [rng.uniform(0.25, 0.5, model.base_channels) for _ in range(100)]
+        blobs = [encode_image(model, image[:, :16, :16], QuantSpec(1.0, 1.0, delta0))
+                 for delta0 in steps]
+        monkeypatch.setattr(C, "_BLOCKS", {})
+        for blob in blobs:
+            decode_image(model, blob)
+            assert sum(block.nbytes for block in C._BLOCKS.values()) <= C._BLOCK_CAP
+        cached = {key[1] for key in C._BLOCKS}
+        assert steps[-1].tobytes() in cached and steps[0].tobytes() not in cached
 
 
 class TestProgressive:
@@ -471,6 +531,20 @@ class TestContainer:
         with np.errstate(over="ignore"), pytest.raises(FormatError, match="section z1"):
             decode_image(model, C._pack_header(header) + blob[start:])
 
+    def test_base_step_the_prior_cannot_take_is_a_format_error(self, model, image):
+        """A header step under which a valid model's prior yields no finite
+        masses (a weight whose softplus is 0 meets an infinite argument)
+        fails to decode with FormatError naming z0."""
+        other = FlowModel.from_bytes(model.to_bytes())
+        other.prior.matrices[1].data[0, 0, 0] = -1e4
+        blob = encode_image(other, image, spec_for(other, 1.0))
+        header, start = C._parse_header(blob)
+        delta0 = header.spec.delta0.copy()
+        delta0[0] = 1e308
+        header.spec = QuantSpec(header.spec.delta2, header.spec.delta1, delta0)
+        with np.errstate(all="ignore"), pytest.raises(FormatError, match="section z0"):
+            decode_image(other, C._pack_header(header) + blob[start:])
+
     def test_version_1_rejected(self, model, image):
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
         blob[4] = 1
@@ -555,6 +629,20 @@ class TestContainer:
         hostile = C._pack_header(header) + b"".join(sections.values())
         with pytest.raises(FormatError, match="corrupt section z2"):
             decode_image(model, hostile)
+
+    @pytest.mark.parametrize("name", ["z0", "z1"])
+    def test_unread_section_bytes_rejected(self, model, image, name):
+        """800 junk bytes after the code of a section, with the section
+        length and the header CRC consistent, are refused: the decoder
+        reads every byte of a valid section."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        sections = C._split_sections(blob, header, start)
+        sections[name] += bytes(np.random.default_rng(96).integers(0, 256, 800, dtype=np.uint8))
+        header.section_lengths[name] = len(sections[name])
+        padded = C._pack_header(header) + b"".join(sections.values())
+        with pytest.raises(FormatError, match=f"section {name}: 800 bytes after the end"):
+            decode_image(model, padded)
 
     def test_trailing_bytes_rejected(self, model, image):
         blob = encode_image(model, image[:, :16, :16], spec_for(model, 1.0)) + b"xx"

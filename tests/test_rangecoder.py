@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import cum, freqs
+from helpers import cum, freqs, largest_remainder_freqs
 
 from flowcodec.errors import FormatError, NumericError
 from flowcodec.rangecoder import (
@@ -11,6 +11,7 @@ from flowcodec.rangecoder import (
     RangeEncoder,
     _decode_slots,
     build_freq_table,
+    build_freq_tables,
     decode_symbols,
     encode_symbols,
 )
@@ -59,6 +60,34 @@ class TestFrequencyTable:
             build_freq_table(np.array([0.5, 0.0]), 0)
         with pytest.raises(NumericError):
             build_freq_table(np.ones(1 << 16), 0)
+
+
+    def test_batched_build_equals_per_row_builds(self):
+        """One batched build gives every row the table it gets alone, and
+        the oracle's counts: random rows with ties, rows at the
+        probability floor but one, uniform rows and width 1."""
+        rng = np.random.default_rng(99)
+        for _ in range(40):
+            rows = []
+            for _ in range(int(rng.integers(1, 30))):
+                width = int(rng.choice([1, 2, rng.integers(1, 60), rng.integers(1, 3000)]))
+                kind = int(rng.integers(0, 4))
+                if kind == 0:
+                    row = rng.exponential(size=width) + 1e-12
+                elif kind == 1:  # ties
+                    row = rng.integers(1, 4, size=width).astype(np.float64)
+                elif kind == 2:  # floor mass but one
+                    row = np.full(width, 1e-12)
+                    row[rng.integers(0, width)] = 1.0
+                else:
+                    row = np.full(width, 1.0 / width)
+                rows.append(row)
+            k_mins = rng.integers(-100, 100, size=len(rows)).tolist()
+            for row, k_min, table in zip(rows, k_mins, build_freq_tables(rows, k_mins)):
+                alone = build_freq_table(row, k_min)
+                assert table.k_min == alone.k_min == k_min
+                assert table.starts == alone.starts
+                assert np.array_equal(freqs(table), largest_remainder_freqs(row))
 
 
 def roundtrip(tables, symbols):
