@@ -27,7 +27,8 @@ the forward's, would compound that across the six couplings.
 
 A model is immutable after load for inference; concurrent encodes and
 decodes over a shared model are safe.  Training mutates parameters and
-requires exclusive access.
+requires exclusive access; it rebinds each parameter to a new array,
+and never writes one in place (see `FlowModel.model_id`).
 """
 
 from __future__ import annotations
@@ -256,6 +257,13 @@ class FlowModel:
     `forward` maps an image tensor to its three latents (and the
     continued features used for conditioning); `inverse` is its exact
     functional inverse; both carry gradients.
+
+    `model_id` hashes the model once per set of parameter arrays: the
+    id is cached with the arrays it hashed, and those arrays become
+    read-only, so an in-place write raises instead of leaving a stale
+    id.  The optimizers and `ParamStore.load_bytes` rebind parameters to
+    new arrays, so after training or loading the next `model_id` hashes
+    again.  `config` is fixed once the model is built.
     """
 
     def __init__(self, config: FlowConfig):
@@ -293,6 +301,7 @@ class FlowModel:
         )
         for name, tensor in self.prior.parameters():
             self.params.add(f"prior.{name}", tensor)
+        self._id: tuple[list[np.ndarray], bytes] | None = None  # see model_id
 
     # -- shapes ---------------------------------------------------------------
 
@@ -388,8 +397,20 @@ class FlowModel:
 
     @property
     def model_id(self) -> bytes:
-        """16-byte content hash identifying parameters and architecture."""
-        return hashlib.sha256(self.to_bytes()).digest()[:16]
+        """16-byte content hash identifying parameters and architecture.
+
+        Cached with the parameter arrays it hashed, which become read-only
+        then; it is hashed again once a parameter holds another array."""
+        arrays = [t.data for t in self.params.tensors()]
+        cached = self._id
+        if cached is not None and len(cached[0]) == len(arrays) and all(
+                a is b for a, b in zip(cached[0], arrays)):
+            return cached[1]
+        for a in arrays:
+            a.flags.writeable = False
+        model_id = hashlib.sha256(self.to_bytes()).digest()[:16]
+        self._id = (arrays, model_id)
+        return model_id
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

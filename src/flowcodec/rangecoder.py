@@ -4,7 +4,9 @@ The coder keeps a 64-bit low (33 significant bits ahead of the carry),
 a 32-bit range, and a pending-byte pipeline that resolves carries into
 already-buffered output (the cache plus a run of 0xFF placeholders).
 Every span is a part of exactly 2^16, so the range never drops below
-the total between renormalizations.
+the total between renormalizations.  The encoder's span loop moves
+bytes out inline; its flush writes the cache and the pending bytes,
+each plus the last carry, then the four bytes of low.
 
 A whole slice of symbols, each under its own table, goes through
 `encode_symbols` / `decode_symbols`: numpy gathers every span and
@@ -22,8 +24,10 @@ is codable, and the escape slot is always the last count,
 signed 32-bit symbol value, as two uniform 16-bit halves (high first).
 `build_freq_tables` quantizes many probability rows in one vectorized
 pass, each row to the table it would get alone; `build_freq_table` is
-its one-row case.  A section's code ends exactly where its bytes end,
-so bytes after it make the section corrupt.
+its one-row case.  Their tables, like `FrequencyTable(k_min, freqs)`,
+come from `_tables`, which checks the counts of every row at once and
+takes all starts from one cumulative sum.  A section's code ends
+exactly where its bytes end, so bytes after it make the section corrupt.
 
 Tables are immutable once built and may be shared by any number of
 threads; one coder state per stream, single-threaded per stream.
@@ -59,15 +63,33 @@ class FrequencyTable:
     __slots__ = ("k_min", "starts")
 
     def __init__(self, k_min: int, freqs: np.ndarray):
-        freqs = np.asarray(freqs)
-        if int(freqs.sum()) != TOTAL:
-            raise NumericError(f"frequencies sum to {int(freqs.sum())}, need {TOTAL}")
-        if freqs[-1] != 1 or freqs.min() < 1:
-            raise NumericError("every frequency must be at least one and the escape exactly one")
-        self.k_min = int(k_min)
-        starts = np.zeros(len(freqs), dtype=np.uint16)
-        np.cumsum(freqs[:-1], out=starts[1:], dtype=np.uint16)
-        self.starts = array("H", starts.tobytes())
+        freqs = np.asarray(freqs).reshape(-1)
+        (table,) = _tables([k_min], freqs, np.array([freqs.size]))
+        self.k_min, self.starts = table.k_min, table.starts
+
+
+def _tables(k_mins: Sequence[int], freqs: np.ndarray, widths: np.ndarray) -> list[FrequencyTable]:
+    """One table per row of the concatenated counts `freqs`, row i
+    `widths[i]` counts long and closed by its escape slot.  Every row must
+    sum to TOTAL, keep at least one count per slot and exactly one for
+    the escape; the starts of all rows come from one cumulative sum,
+    rebased to each row's first slot."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    ends = np.cumsum(widths)
+    firsts = ends - widths
+    cum = np.concatenate(([0], np.cumsum(freqs)))
+    sums = cum[ends] - cum[firsts]
+    if np.any(sums != TOTAL):
+        raise NumericError(f"frequencies sum to {sums[sums != TOTAL][0]}, need {TOTAL}")
+    if freqs.min() < 1 or np.any(freqs[ends - 1] != 1):
+        raise NumericError("every frequency must be at least one and the escape exactly one")
+    starts = (cum[:-1] - np.repeat(cum[firsts], widths)).astype(np.uint16).tobytes()
+    tables = []
+    for k_min, a, b in zip(k_mins, (2 * firsts).tolist(), (2 * ends).tolist()):
+        table = object.__new__(FrequencyTable)
+        table.k_min, table.starts = int(k_min), array("H", starts[a:b])
+        tables.append(table)
+    return tables
 
 
 def build_freq_table(probs: np.ndarray, k_min: int) -> FrequencyTable:
@@ -119,22 +141,9 @@ def build_freq_tables(rows: Sequence[np.ndarray], k_mins: Sequence[int]) -> list
     ties_before = np.cumsum(tie) - tie
     ties_before -= ties_before[first][row]
     wins = above | (tie & (ties_before < (deficit - np.add.reduceat(above, first))[row]))
-    freqs = np.ones(probs.size + n, dtype=np.uint32)  # the escape slot closes each row
-    freqs[np.arange(probs.size) + row] = base.astype(np.uint32) + 1 + wins
-    ends = np.cumsum(widths + 1)
-    return [FrequencyTable(k_min, freqs[end - width - 1 : end])
-            for k_min, width, end in zip(k_mins, widths.tolist(), ends.tolist())]
-
-
-def _shift_low(low: int, cache: int, pending: int, out: bytearray) -> tuple[int, int, int]:
-    """Move the top byte of low out, resolving a carry into pending bytes."""
-    if low < 0xFF000000 or low > MASK32:
-        carry = low >> 32
-        out.append((cache + carry) & 0xFF)
-        if pending:
-            out += bytes(((0xFF + carry) & 0xFF,)) * pending
-        return (low << 8) & MASK32, (low >> 24) & 0xFF, 0
-    return (low << 8) & MASK32, cache, pending + 1
+    freqs = np.ones(probs.size + n, dtype=np.int64)  # the escape slot closes each row
+    freqs[np.arange(probs.size) + row] = base.astype(np.int64) + 1 + wins
+    return _tables(k_mins, freqs, widths + 1)
 
 
 def _encode_spans(cums: Iterable[int], freqs: Iterable[int]) -> bytes:
@@ -146,10 +155,24 @@ def _encode_spans(cums: Iterable[int], freqs: Iterable[int]) -> bytes:
         low += r * cum
         rng = r * freq
         while rng < TOP:
-            low, cache, pending = _shift_low(low, cache, pending, out)
+            # move the top byte of low out; a 0xFF byte waits in pending
+            # until a later carry decides whether it stays 0xFF or wraps to 0
+            if low < 0xFF000000 or low > MASK32:
+                carry = low >> 32
+                out.append((cache + carry) & 0xFF)
+                if pending:
+                    out += bytes(((0xFF + carry) & 0xFF,)) * pending
+                    pending = 0
+                cache = (low >> 24) & 0xFF
+            else:
+                pending += 1
+            low = (low << 8) & MASK32
             rng <<= 8
-    for _ in range(5):
-        low, cache, pending = _shift_low(low, cache, pending, out)
+    # flush: the cache and pending bytes take the last carry, then low's four bytes
+    carry = low >> 32
+    out.append((cache + carry) & 0xFF)
+    out += bytes(((0xFF + carry) & 0xFF,)) * pending
+    out += (low & MASK32).to_bytes(4, "big")
     return bytes(out)
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from flowcodec.errors import FormatError
 from flowcodec.flow import AdditiveCoupling, DecoderChain, FlowConfig, FlowModel
 from flowcodec.params import ParamStore
 from flowcodec.tensor import Tensor
+from flowcodec.training import AdaMax
 
 
 def desk_model(seed=7, dtype="float64", in_channels=3) -> FlowModel:
@@ -313,3 +316,72 @@ class TestModelFile:
         again = FlowModel.load(path)
         assert again.dtype == np.float32
         assert again.to_bytes() == m.to_bytes()
+
+
+def content_id(model: FlowModel) -> bytes:
+    return hashlib.sha256(model.to_bytes()).digest()[:16]
+
+
+class TestModelId:
+    """The id is cached with the parameter arrays it hashed and follows
+    the parameters when training or loading rebinds them."""
+
+    def test_cached_until_a_parameter_is_rebound(self, monkeypatch):
+        model = desk_model(seed=8)
+        first = model.model_id
+        hashed = []
+        monkeypatch.setattr(FlowModel, "to_bytes",
+                            lambda self: hashed.append(1) or b"not hashed")
+        assert model.model_id == first and not hashed
+        tensor = model.params.tensors()[0]
+        tensor.data = tensor.data + 1.0
+        assert model.model_id == hashlib.sha256(b"not hashed").digest()[:16]
+        assert hashed == [1]
+
+    def test_follows_an_optimizer_step_and_a_load(self):
+        model = desk_model(seed=8)
+        perturb_model(model, np.random.default_rng(72), scale=0.1)
+        start = model.model_id
+        opt = AdaMax(model.params.tensors(), lr=1e-2)
+        zs, _ = model.forward(Tensor(np.random.default_rng(73).uniform(0, 255, (1, 3, 8, 8))))
+        T.add(T.add((zs[0] * zs[0]).sum(), (zs[1] * zs[1]).sum()), (zs[2] * zs[2]).sum()).backward()
+        opt.step()
+        stepped = model.model_id
+        assert stepped == content_id(model) != start
+        model.params.load_bytes(desk_model(seed=9).params.to_bytes())
+        assert model.model_id == content_id(model) not in (start, stepped)
+
+    def test_in_place_write_after_the_id_raises(self):
+        model = desk_model(seed=8)
+        model.model_id
+        for tensor in model.params.tensors():
+            with pytest.raises(ValueError, match="read-only"):
+                tensor.data[...] = 0.0
+        assert model.model_id == content_id(model)
+
+    def test_threads_read_the_sequential_id(self):
+        """Four threads (more than the cores) race to take the id of each of
+        five fresh models, switching as often as the interpreter allows."""
+        expected = desk_model(seed=8).model_id
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                model = desk_model(seed=8)
+                barrier = threading.Barrier(4)
+                ids = []
+
+                def read():
+                    barrier.wait(timeout=60)
+                    ids.append(model.model_id)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert ids == [expected] * 4
+                assert model.model_id == expected
+        finally:
+            sys.setswitchinterval(interval)

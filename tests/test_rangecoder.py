@@ -1,12 +1,18 @@
 """Range coder: exact round trips, near-entropy lengths, table quantization."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from helpers import cum, freqs, largest_remainder_freqs
 
 from flowcodec.errors import FormatError, NumericError
 from flowcodec.rangecoder import (
+    RAW_MAX,
+    RAW_MIN,
     TOTAL,
+    FrequencyTable,
     RangeDecoder,
     RangeEncoder,
     _decode_slots,
@@ -198,6 +204,54 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match="corrupt section z2") as info:
             decode_symbols(b"\xff" * (1 << 16), table_of, [table], "section z2")
         assert "ran out" not in str(info.value)
+
+
+def golden_stream():
+    """Symbols, table indices and integer-count tables of the pinned
+    stream.  Runs of 1 under the first table sit just below its escape
+    slot, runs of escaped -1 (escape slot and raw halves all at the top
+    of the interval) give long 0xFF runs, and the mixed stretches add
+    escapes up to 32 bits; two pending runs, of 454 and 96 bytes,
+    resolve through a carry."""
+    tables = [
+        FrequencyTable(0, np.array([TOTAL - 2, 1, 1])),
+        FrequencyTable(-8, np.array([4096] * 15 + [4095, 1])),
+        FrequencyTable(-3, np.array([3 ** i for i in range(10)] + [36011, 1])),
+        FrequencyTable(5, np.array([1, TOTAL - 3, 1, 1])),
+    ]
+    k_mins = np.array([t.k_min for t in tables])
+    rng = np.random.default_rng(20261018)
+    symbols, table_of = [], []
+    for _ in range(60):
+        run, ones, n = int(rng.integers(1, 400)), int(rng.integers(0, 40)), int(rng.integers(1, 40))
+        u = rng.integers(1, 4, size=n)
+        symbols += [1] * run + [-1] * ones + (k_mins[u] + rng.integers(-1, 17, size=n)).tolist()
+        table_of += [0] * (run + ones) + u.tolist()
+    extremes = [RAW_MIN, RAW_MAX, -1, 1 << 20, -(1 << 20), 17, 65536]
+    at = rng.choice(len(symbols), size=len(extremes) + 40, replace=False)
+    for i, v in zip(at.tolist(), extremes + rng.integers(RAW_MIN, RAW_MAX + 1, size=40).tolist()):
+        symbols[i] = v
+    return np.array(symbols, dtype=np.int64), np.array(table_of, dtype=np.int64), tables
+
+
+def longest_run(data: bytes, byte: int) -> int:
+    return max((len(m.group()) for m in re.finditer(re.escape(bytes([byte])) + b"+", data)),
+               default=0)
+
+
+class TestGoldenBytes:
+    def test_pinned_stream(self):
+        """The coder's bytes for fixed integer tables are pinned: a refactor
+        of the encoder that changes any byte fails here."""
+        symbols, table_of, tables = golden_stream()
+        data = encode_symbols(symbols, table_of, tables)
+        assert len(data) == 35765
+        assert hashlib.sha256(data).hexdigest() == (
+            "c0c5802b1b2e2e5fb0452ad63477a45a7a2d591e9b482c67071229abc95a1e4c")
+        # pending 0xFF bytes out as 0xFF, and as 0x00 after a carry
+        assert longest_run(data, 0xFF) >= 200 and longest_run(data, 0x00) >= 400
+        assert np.array_equal(decode_symbols(data, table_of, tables, "golden"), symbols)
+
 
 class TestEfficiency:
     def test_within_one_percent_of_shannon(self):

@@ -1,10 +1,14 @@
 """Trainer: optimizers vs hand-stepped oracles, losses, metrics, tuning."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from helpers import gradcheck, perturb_model
 
 import flowcodec.tensor as T
+from flowcodec.codec import encode_image
 from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from flowcodec.flow import DecoderChain, FlowConfig, FlowModel
 from flowcodec.tensor import Tensor
@@ -307,6 +311,57 @@ class TestTrainLoop:
         history = train(model, corpus, cfg)
         assert np.isnan(history[0]["distortion"])
         assert np.isfinite(history[-1]["distortion"])
+
+
+class TestTrainingBesideCoding:
+    def test_encode_in_another_thread_leaves_the_tape_intact(self):
+        """Encodes of another model run in a second thread throughout one
+        training step, and at least one whole encode (inference without a
+        tape) runs between the step's forward pass and its backward pass;
+        the step's parameters equal those of the same step run alone."""
+        coder = tiny_model(seed=23)
+        perturb_model(coder, np.random.default_rng(110), 0.01)
+        image = tiny_corpus(np.random.default_rng(111), n=1)[0]
+        spec = QuantSpec.uniform(1.0, coder.base_channels)
+        cfg = TrainConfig(batch_size=2)
+        batch = sample_batch(tiny_corpus(np.random.default_rng(4)), np.random.default_rng(5), 2, 16)
+        encodes = []
+
+        def step(between=lambda: None):
+            model = tiny_model()
+            perturb_model(model, np.random.default_rng(102), 0.01)
+            opt = AdaMax(model.params.tensors())
+            model.params.zero_grads()
+            loss, _ = rd_loss(model, batch, cfg, np.random.default_rng(6))
+            between()
+            loss.backward()
+            opt.step()
+            return [t.data for t in model.params.tensors()]
+
+        def one_more_encode():
+            seen, deadline = len(encodes), time.monotonic() + 60
+            while len(encodes) <= seen and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(encodes) > seen
+
+        alone = step()
+        stop = threading.Event()
+
+        def encode_loop():
+            while not stop.is_set():
+                encodes.append(encode_image(coder, image, spec))
+
+        worker = threading.Thread(target=encode_loop)
+        worker.start()
+        try:
+            one_more_encode()
+            beside = step(one_more_encode)
+        finally:
+            stop.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert all(blob == encodes[0] for blob in encodes)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, beside))
 
 
 class TestConditioningDivergence:
