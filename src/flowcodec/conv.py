@@ -6,7 +6,9 @@ and both backward passes are one matmul each over tap-major columns
 (Cin*kh*kw, N*H*W), built by one slice copy per kernel tap into a zeroed
 array whose untouched border stands in for the padding.  No padded copy
 and no strided im2col view is made, and the heavy lifting stays inside
-BLAS.
+BLAS.  The input gradient is computed only for an input on the tape
+(`requires_grad`); a conv whose input is computed from data alone, such
+as the image, skips that matmul.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ def _corr2d(x: Array, kernel: Array) -> Array:
 def conv2d(x, kernel, bias=None) -> Tensor:
     """Same-padded stride-1 convolution of (N,Cin,H,W) with (Cout,Cin,kh,kw).
 
-    Differentiable w.r.t. input, kernel and the per-output-channel bias.
-    Kernel spatial extents must be odd so that output extents match input.
+    Differentiable w.r.t. input, kernel and the per-output-channel bias;
+    the backward returns no input gradient for an input that does not
+    require one.  Kernel spatial extents must be odd so that output
+    extents match input.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -79,14 +83,15 @@ def conv2d(x, kernel, bias=None) -> Tensor:
         data = data + bias.data[None, :, None, None]
 
     def backward(g: Array):
-        # d/dx: correlate g with the spatially flipped, channel-transposed kernel
-        kflip = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        gx = _corr2d(g, kflip)
         # d/dkernel: g against the input's columns, rebuilt rather than kept
         # from the forward pass so that the tape holds no column arrays
         gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
         gk = (gmat @ _columns(x.data, kh, kw).T).reshape(kernel.shape)
-        grads = [(x, gx), (kernel, gk)]
+        grads = [(kernel, gk)]
+        if x.requires_grad:
+            # d/dx: correlate g with the spatially flipped, channel-transposed kernel
+            kflip = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            grads.append((x, _corr2d(g, kflip)))
         if bias is not None:
             grads.append((bias, g.sum(axis=(0, 2, 3))))
         return grads

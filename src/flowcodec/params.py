@@ -83,7 +83,9 @@ class ParamStore:
     def load_bytes(self, blob: bytes) -> None:
         """Overwrite parameter values in place from a serialized store.
 
-        Names, shapes and dtypes must match this store's layout exactly.
+        Names, shapes and dtypes must match this store's layout exactly;
+        every entry is checked before any parameter is rebound, so a
+        refused load leaves the store as it was.
         """
         entries = dict(parse_entries(blob))
         if set(entries) != set(self._params):
@@ -98,11 +100,12 @@ class ParamStore:
                 raise FormatError(
                     f"parameter {name!r}: stored shape {arr.shape} != expected {tensor.data.shape}"
                 )
-            tensor.data = arr.astype(tensor.data.dtype, copy=False)
             if arr.dtype != tensor.data.dtype:
                 raise FormatError(
                     f"parameter {name!r}: stored dtype {arr.dtype} != expected {tensor.data.dtype}"
                 )
+        for name, tensor in self._params.items():
+            tensor.data = entries[name]
 
 
 def parse_entries(blob: bytes) -> list[tuple[str, np.ndarray]]:

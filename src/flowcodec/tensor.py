@@ -476,13 +476,20 @@ def matmul(a, b) -> Tensor:
 
 
 def take_channels(x, idx) -> Tensor:
-    """Gather channels (axis 1) by index array; scatter-add on backward."""
+    """Gather channels (axis 1) by an array of distinct indices.
+
+    The indices must be distinct (a permutation or a subset), so the
+    backward is a plain scatter into zeros, with no accumulation; a
+    repeated index raises `ValueError`.
+    """
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
+    if len(set(idx.tolist())) != idx.size:
+        raise ValueError(f"take_channels: repeated channel index in {idx.tolist()}")
 
     def backward(g: Array):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), idx), g)
+        gx[:, idx] = g
         return [(x, gx)]
 
     return _make(x.data[:, idx], (x,), backward)

@@ -10,6 +10,12 @@ symbols.  The rate term's conditioning (mean, scale) comes from the
 forward features, which keeps the graph cheap; the sampling path walks
 the decoder's own chain (`DecoderChain`), as a one-level decode does.
 
+`train` logs one row per step.  Its `nll` column, the dequantized
+likelihood under the same model, costs a third forward pass, so after
+warm-up it is evaluated only every `NLL_EVERY` steps and reads nan
+elsewhere; its dequantization noise is drawn on every step all the same,
+so batches, dithers and trained parameters do not depend on `NLL_EVERY`.
+
 Data loading may be concurrent; the optimization step owns the
 parameters exclusively; evaluation helpers are read-only.
 """
@@ -29,6 +35,7 @@ from .quantize import draw_noise, round_to_grid, universal_quantize
 from .tensor import Tensor, no_grad
 
 PSNR_CAP_DB = 99.0
+NLL_EVERY = 10  # after warm-up, train() evaluates nll on steps divisible by this
 
 
 @dataclass
@@ -165,13 +172,17 @@ def _train_spec(model: FlowModel, delta: float):
     return (delta, delta, np.full(model.base_channels, delta))
 
 
+def _dequant_noise(rng: np.random.Generator, cfg: TrainConfig,
+                   batch: np.ndarray) -> np.ndarray:
+    return rng.uniform(0.0, cfg.dequant_amplitude, size=batch.shape)
+
+
 def nll_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
              rng: np.random.Generator) -> Tensor:
     """Mean over the batch of total bits of the dequantized batch under
     the bin-integrated models at the training step size; no Jacobian term
     exists because every layer is volume preserving."""
-    xi = rng.uniform(0.0, cfg.dequant_amplitude, size=batch.shape)
-    x = Tensor((batch + xi).astype(model.dtype))
+    x = Tensor((batch + _dequant_noise(rng, cfg, batch)).astype(model.dtype))
     zs, hs = model.forward(x)
     mu1, sig1, mu2, sig2 = _forward_conditionals(model, hs)
     rate = latent_rate_bits(zs[2], zs[1], zs[0], model.prior,
@@ -191,7 +202,9 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     The rate term conditions on the forward features (cheap); the
     sampling path walks the decoder chain exactly like a one-level decode:
     each conditional mean comes from features rebuilt off the quantized
-    base latent and the already-substituted deeper levels.
+    base latent and the already-substituted deeper levels.  The full
+    reconstruction shares the chain's first step, the level-2 inverse of
+    the quantized base latent, and inverts the other two levels itself.
     """
     x = Tensor(batch.astype(model.dtype))
     zs, hs = model.forward(x)
@@ -206,9 +219,9 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
                          mu1, sig1, mu2, sig2, _train_spec(model, d)),
         float(batch.shape[0]),
     )
-    x_full = model.inverse([z2_hat, z1_hat, z0_hat])
-
     chain = DecoderChain(model, z0_hat)
+    x_full = model.reconstruct_features(
+        0, z2_hat, model.reconstruct_features(1, z1_hat, chain.features))
     for _ in range(LEVELS - 1):  # z1, then z2, stand in as substituted means
         x_sampled = chain.invert(substitute_fn(chain.conditionals()[0], d))
 
@@ -267,7 +280,10 @@ def train(model: FlowModel, corpus: list[np.ndarray], cfg: TrainConfig,
     """Optimize the model in place; returns per-step metric rows.
 
     Deterministic under a fixed config seed: batch sampling, dequant
-    noise and dither draws all come from one seeded generator.
+    noise and dither draws all come from one seeded generator.  After
+    warm-up, a row's `nll` is nan unless `NLL_EVERY` divides its step;
+    the metric's noise is drawn on every step, so the trained model does
+    not depend on `NLL_EVERY`.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -288,8 +304,12 @@ def train(model: FlowModel, corpus: list[np.ndarray], cfg: TrainConfig,
                        "loss": loss.item()}
             else:
                 loss, parts = rd_loss(model, batch, cfg, rng)
-                with no_grad():
-                    nll_now = nll_loss(model, batch, cfg, rng).item()
+                if step % NLL_EVERY == 0:
+                    with no_grad():
+                        nll_now = nll_loss(model, batch, cfg, rng).item()
+                else:
+                    _dequant_noise(rng, cfg, batch)  # nll_loss's draw, so later batches stay
+                    nll_now = float("nan")
                 row = {"step": step, "nll": nll_now, "rate": parts["rate"],
                        "distortion": parts["distortion"], "psnr": parts["psnr"],
                        "loss": loss.item()}

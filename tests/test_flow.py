@@ -351,6 +351,17 @@ class TestModelId:
         model.params.load_bytes(desk_model(seed=9).params.to_bytes())
         assert model.model_id == content_id(model) not in (start, stepped)
 
+    def test_refused_load_leaves_every_parameter(self):
+        model = desk_model(seed=8)
+        start = model.model_id
+        before = [t.data for t in model.params.tensors()]
+        assert len(before) == 75
+        with pytest.raises(FormatError, match="dtype"):
+            model.params.load_bytes(desk_model(seed=9, dtype="float32").params.to_bytes())
+        after = [t.data for t in model.params.tensors()]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert model.model_id == start
+
     def test_in_place_write_after_the_id_raises(self):
         model = desk_model(seed=8)
         model.model_id

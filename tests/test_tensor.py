@@ -198,6 +198,21 @@ class TestStructureOps:
         )
         assert np.array_equal(merged.data, x)
 
+    @pytest.mark.parametrize("idx", [[4, 0, 5, 2, 1, 3], [5, 1, 2]],
+                             ids=["permutation", "subset"])
+    def test_take_gradient_matches_scatter_add(self, idx):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(2, 6, 3, 3)), requires_grad=True)
+        g = rng.normal(size=(2, len(idx), 3, 3))
+        (T.take_channels(x, np.array(idx)) * g).sum().backward()
+        oracle = np.zeros_like(x.data)
+        np.add.at(oracle, (slice(None), np.array(idx)), g)
+        assert np.array_equal(x.grad, oracle)
+
+    def test_take_rejects_repeated_channels(self):
+        with pytest.raises(ValueError, match="repeated"):
+            T.take_channels(Tensor(np.zeros((1, 4, 2, 2))), np.array([0, 2, 0]))
+
     def test_ste_round_forward_and_backward(self):
         x = Tensor(np.array([0.4, 0.5, 1.5, -0.6]), requires_grad=True)
         out = T.ste_round(x)

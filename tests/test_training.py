@@ -8,9 +8,10 @@ import pytest
 from helpers import gradcheck, perturb_model
 
 import flowcodec.tensor as T
+import flowcodec.training as training
 from flowcodec.codec import encode_image
 from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol
-from flowcodec.flow import DecoderChain, FlowConfig, FlowModel
+from flowcodec.flow import DecoderChain, FlowConfig, FlowLevel, FlowModel
 from flowcodec.tensor import Tensor
 from flowcodec.training import (
     Adam,
@@ -234,6 +235,22 @@ class TestRdLoss:
         for name, t in model.params.items():
             assert np.array_equal(grads_full[name], t.grad_array()), name
 
+    def test_full_reconstruction_shares_the_chain_level_2_inverse(self, monkeypatch):
+        model = tiny_model()
+        perturb_model(model, np.random.default_rng(105), 0.01)
+        cfg = TrainConfig(batch_size=1)
+        batch = sample_batch(tiny_corpus(np.random.default_rng(11)), np.random.default_rng(12), 1, 16)
+        levels = []
+        inverse = FlowLevel.inverse
+
+        def counted(level, z, h):
+            levels.append(model.levels.index(level))
+            return inverse(level, z, h)
+
+        monkeypatch.setattr(FlowLevel, "inverse", counted)
+        rd_terms(model, batch, cfg, lambda z, delta, lv: z, mean_symbol)
+        assert sorted(levels) == [0, 0, 1, 1, 2]
+
     def test_vanishing_step_gives_zero_distortion(self):
         model = tiny_model()
         perturb_model(model, np.random.default_rng(103), 0.01)
@@ -302,6 +319,30 @@ class TestTrainLoop:
         assert lines[0] == "step,nll,rate,distortion,psnr"
         assert len(lines) == cfg.steps + 1
         assert "," in lines[1] and "nan" not in lines[1]
+
+    def test_nll_metric_is_sampled_on_an_unchanged_stream(self, tmp_path, monkeypatch):
+        corpus = tiny_corpus(np.random.default_rng(16), n=4)
+        cfg = TrainConfig(batch_size=2, steps=12, lambda_rd=0.02, seed=17, patch=16)
+
+        def run(path=None):
+            model = tiny_model(seed=26)
+            history = train(model, corpus, cfg, metrics_path=path)
+            return model.to_bytes(), history
+
+        default_bytes, default = run(tmp_path / "metrics.csv")
+        sampled = [s for s, row in enumerate(default) if np.isfinite(row["nll"])]
+        assert sampled == [s for s in range(cfg.steps) if s % training.NLL_EVERY == 0]
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] == "nan" for line in lines] == [
+            s not in sampled for s in range(cfg.steps)]
+
+        monkeypatch.setattr(training, "NLL_EVERY", 1)
+        every_bytes, every = run()
+        assert all(np.isfinite(row["nll"]) for row in every)
+        keys = ("loss", "rate", "distortion", "psnr")
+        assert [[row[k] for k in keys] for row in every] == [
+            [row[k] for k in keys] for row in default]
+        assert every_bytes == default_bytes
 
     def test_warmup_then_rd(self):
         corpus = tiny_corpus(np.random.default_rng(14), n=4)
