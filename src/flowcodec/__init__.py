@@ -18,7 +18,6 @@ from .codec import (
 )
 from .entropy import FactorizedPrior, QuantSpec
 from .errors import FlowCodecError, FormatError, ModelMismatchError, NumericError
-from .estimator import FlowImageCodec
 from .flow import FlowConfig, FlowModel, LatentSet
 from .params import ParamStore
 from .tensor import Tensor, no_grad
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FlowCodecError",
     "FlowConfig",
-    "FlowImageCodec",
     "FlowModel",
     "FactorizedPrior",
     "FormatError",

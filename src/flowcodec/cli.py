@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import (
+    LEVEL_CODES,
     P_THRESH_DEFAULT,
     decode_image,
     encode_image,
@@ -54,21 +55,12 @@ def _load_model(path: str) -> FlowModel:
 def _load_deltas(arg: str, model: FlowModel) -> QuantSpec:
     """Step argument: a step file path or an inline scalar for all levels."""
     if os.path.exists(arg):
-        spec = QuantSpec.from_lines(Path(arg).read_text().splitlines())
-        if len(spec.delta0) != model.base_channels:
-            raise CliError(
-                f"step file lists {len(spec.delta0)} base channels, model has "
-                f"{model.base_channels}",
-                EXIT_MODEL,
-            )
-        return spec
+        return QuantSpec.from_lines(Path(arg).read_text().splitlines())
     try:
         value = float(arg)
     except ValueError:
         raise CliError(f"steps argument {arg!r} is neither a file nor a number",
                        EXIT_USAGE) from None
-    if value <= 0:
-        raise CliError("step must be positive", EXIT_USAGE)
     return QuantSpec.uniform(value, model.base_channels)
 
 
@@ -77,7 +69,7 @@ def _parse_levels(text: str) -> float:
         value = float(text)
     except ValueError:
         raise CliError(f"invalid level {text!r}", EXIT_USAGE) from None
-    if value not in (1.0, 2.0, 2.5, 3.0):
+    if value not in LEVEL_CODES:
         raise CliError("levels must be 1, 2, 2.5 or 3", EXIT_USAGE)
     return value
 
@@ -130,8 +122,7 @@ def cmd_train(args) -> int:
 def cmd_finetune(args) -> int:
     model = _load_model(args.model)
     images = _corpus_images(args.corpus)
-    spec = finetune_deltas(model, images, args.lambda_rd, steps=args.steps,
-                           seed=_seed_override(args.seed))
+    spec = finetune_deltas(model, images, args.lambda_rd, steps=args.steps)
     Path(args.out).write_text("\n".join(spec.to_lines()) + "\n")
     print(f"wrote {args.out} (delta2={spec.delta2:.6g}, delta1={spec.delta1:.6g})")
     return EXIT_OK
@@ -240,12 +231,11 @@ def cmd_rd_sweep(args) -> int:
             lambdas.append(float(token))
     if not lambdas:
         raise CliError("no lambda values given", EXIT_USAGE)
-    seed = _seed_override(args.seed)
 
     rows = []
     for lam in lambdas:
         spec = finetune_deltas(model, corpus[: args.calibration_images], lam,
-                               steps=args.steps, seed=seed)
+                               steps=args.steps)
         rates, qualities = [], []
         for img in corpus:
             blob = encode_image(model, img, spec)
@@ -294,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_rd", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=120)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("encode", help="compress an image")
@@ -339,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", required=True, help="comma-separated values")
     p.add_argument("--csv", required=True)
     p.add_argument("--steps", type=int, default=120)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--calibration-images", type=int, default=3)
     p.set_defaults(fn=cmd_rd_sweep)
 

@@ -484,7 +484,8 @@ def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
 def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
                  levels: float = 3.0, p_thresh: float = P_THRESH_DEFAULT,
                  partial_frac: float = PARTIAL_FRACTION_DEFAULT) -> bytes:
-    """Compress a (C,H,W) image in [0, 255] into a bitstream.
+    """Compress a finite (C,H,W) image, nominally in [0, 255], into a
+    bitstream.
 
     Pads to the transform's extent multiple, rounds each latent level to
     its grid, entropy-codes the sections named by `levels`, and records
@@ -502,6 +503,8 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
             f"image of shape {image.shape} does not match a "
             f"{model.config.in_channels}-channel model"
         )
+    if not np.isfinite(image).all():
+        raise ValueError("image contains non-finite values")
     if len(spec.delta0) != model.base_channels:
         raise ModelMismatchError(
             f"step set declares {len(spec.delta0)} base channels, model has "

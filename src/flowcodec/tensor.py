@@ -59,9 +59,9 @@ class Tensor:
     gradients accumulate until ``zero_grad()``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
@@ -70,7 +70,6 @@ class Tensor:
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: BackwardFn | None = None
-        self.name = name
 
     # -- introspection ------------------------------------------------------
 
@@ -91,8 +90,7 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self) -> str:
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
     def item(self) -> float:
         if self.data.size != 1:

@@ -255,6 +255,25 @@ def rd_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
 # -- corpus ------------------------------------------------------------------------
 
 
+def _check_corpus(model: FlowModel, images, patch: int = 1) -> None:
+    """Refuse an empty corpus, or one holding an image that is not a
+    finite (C, H, W) array with the model's C and extents of at least
+    `patch`.  Reads the images only: no copy, no conversion, no draws."""
+    if len(images) == 0:
+        raise ValueError("empty corpus")
+    channels = model.config.in_channels
+    for i, img in enumerate(images):
+        shape = np.shape(img)
+        if len(shape) != 3 or shape[0] != channels:
+            raise ValueError(f"corpus image {i} has shape {shape}, expected "
+                             f"({channels}, height, width) for the model")
+        if min(shape[1:]) < patch:
+            raise ValueError(f"corpus image {i} of shape {shape} is smaller than "
+                             f"{patch}x{patch}")
+        if not np.isfinite(img).all():
+            raise ValueError(f"corpus image {i} contains non-finite values")
+
+
 def sample_batch(corpus: list[np.ndarray], rng: np.random.Generator,
                  batch_size: int, patch: int) -> np.ndarray:
     """Random crops of random corpus images, stacked to (B,C,patch,patch)."""
@@ -283,9 +302,12 @@ def train(model: FlowModel, corpus: list[np.ndarray], cfg: TrainConfig,
     noise and dither draws all come from one seeded generator.  After
     warm-up, a row's `nll` is nan unless `NLL_EVERY` divides its step;
     the metric's noise is drawn on every step, so the trained model does
-    not depend on `NLL_EVERY`.
+    not depend on `NLL_EVERY`.  An empty corpus, or an image that is not
+    a finite (C, H, W) array on the model's channels with both extents at
+    least `cfg.patch`, raises ValueError before the first step.
     """
     cfg.validate()
+    _check_corpus(model, corpus, cfg.patch)
     rng = np.random.default_rng(cfg.seed)
     opt = AdaMax(model.params.tensors(), lr=cfg.lr, beta1=cfg.beta1,
                  beta2=cfg.beta2, eps=cfg.eps)
@@ -333,7 +355,7 @@ def train(model: FlowModel, corpus: list[np.ndarray], cfg: TrainConfig,
 
 
 def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
-                    steps: int = 120, lr: float = 1e-1, seed: int = 0) -> QuantSpec:
+                    steps: int = 120, lr: float = 1e-1) -> QuantSpec:
     """Tune the step set on frozen parameters for one rate weight.
 
     Steps are optimized as log-values (positivity), with gradients
@@ -343,8 +365,7 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if not images:
-        raise ValueError("empty calibration set")
+    _check_corpus(model, images)
 
     from .codec import pad_to_multiple  # local import avoids a cycle
 

@@ -302,7 +302,7 @@ def test_criterion_8_step_tuning_rd_curve(desk_setup):
     evaluation = desk_setup.held_out[3:8]
     points = []
     for lam in (1.0, 1e2, 1e4, 1e6):
-        spec = finetune_deltas(model, calibration, lam, steps=60, seed=0)
+        spec = finetune_deltas(model, calibration, lam, steps=60)
         rates, qualities = [], []
         for img in evaluation:
             blob = encode_image(model, img, spec)

@@ -72,6 +72,26 @@ class TestEncodeDecode:
         assert run("encode", "--model", quick_model_path, "--input", test_card,
                    "--deltas", deltas, "--out", tmp_path / "y.nfb") == 0
 
+    def test_step_file_for_another_model_exit_4(self, quick_model_path, test_card,
+                                                tmp_path, capsys):
+        model = FlowModel.load(quick_model_path)
+        from flowcodec.entropy import QuantSpec
+        spec = QuantSpec.uniform(0.5, model.base_channels + 1)
+        deltas = tmp_path / "steps.txt"
+        deltas.write_text("\n".join(spec.to_lines()) + "\n")
+        out = tmp_path / "y.nfb"
+        assert run("encode", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", deltas, "--out", out) == 4
+        assert "base channels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["-1", "0", "nan"])
+    def test_non_positive_step_exit_2(self, quick_model_path, test_card, tmp_path, step):
+        out = tmp_path / "z.nfb"
+        assert run("encode", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", step, "--out", out) == 2
+        assert not out.exists()
+
     def test_wrong_model_decode_exit_4(self, quick_model_path, test_card, tmp_path):
         bs = tmp_path / "c.nfb"
         run("encode", "--model", quick_model_path, "--input", test_card,
@@ -271,7 +291,7 @@ class TestFinetuneAndSweep:
         from flowcodec.codec import decode_image, encode_image
         from flowcodec.training import bpp, finetune_deltas, psnr
         model = FlowModel.load(quick_model_path)
-        spec = finetune_deltas(model, [img], 50.0, steps=5, seed=0)
+        spec = finetune_deltas(model, [img], 50.0, steps=5)
         blob = encode_image(model, img, spec)
         assert float(row[1]) == pytest.approx(bpp(len(blob), 16, 16), abs=1e-9)
         assert float(row[2]) == pytest.approx(psnr(img, decode_image(model, blob)), abs=1e-9)

@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import threading
+import warnings
 import zlib
 from collections import Counter
 from dataclasses import replace
@@ -562,6 +563,16 @@ class TestContainer:
         holds, which the decoder refuses."""
         with pytest.raises(ValueError, match="partial_frac"):
             encode_image(model, image, spec_for(model, 1.0), partial_frac=partial_frac)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_encoder_rejects_non_finite_image(self, model, image, value):
+        """Refused before the transform runs, not as a header-range error."""
+        bad = np.array(image, dtype=np.float64)
+        bad[0, 2, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                encode_image(model, bad, spec_for(model, 1.0))
 
     @pytest.mark.parametrize("field,value,match", [
         ("channels", 1, "image channels"),

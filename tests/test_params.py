@@ -37,7 +37,7 @@ class TestRoundTrip:
 
     def test_order_preserved(self):
         store = build_store()
-        assert [n for n, _ in parse_entries(store.to_bytes())] == store.names()
+        assert [n for n, _ in parse_entries(store.to_bytes())] == [n for n, _ in store.items()]
 
 
 class TestValidation:
