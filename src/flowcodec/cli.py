@@ -5,9 +5,9 @@ reencode-loop, inspect.  Every command validates file magics before
 doing work and never mutates its input files.  CSV output always starts
 with a header row and uses dot decimals regardless of locale.
 
-Exit codes: 0 success, 2 usage, 3 malformed file, 4 model mismatch,
-5 numeric failure.  The NFC_SEED environment variable overrides config
-seeds.
+Exit codes: 0 success, 2 usage (an unreadable path too), 3 malformed
+file, 4 model mismatch, 5 numeric failure.  The NFC_SEED environment
+variable overrides config seeds.
 """
 
 from __future__ import annotations
@@ -184,12 +184,11 @@ def cmd_reencode_loop(args) -> int:
     h, w = image.shape[1], image.shape[2]
     rows = []
     blob = encode_image(model, image, spec)
+    decoded = decode_image(model, blob)
     reference = None
-    current = image
     for iteration in range(args.iters + 1):
         if iteration > 0:
-            current = decode_image(model, blob)
-            blob = encode_image(model, current, spec)
+            blob = encode_image(model, decoded, spec)
             if keep_dir:
                 path = keep_dir / f"iter{iteration:03d}.nfb"
                 path.write_bytes(blob)
@@ -209,8 +208,8 @@ def cmd_reencode_loop(args) -> int:
                     f"re-encoded bitstream diverged at iteration {iteration}",
                     EXIT_NUMERIC,
                 )
-        rows.append((iteration, bpp(len(blob), h, w),
-                     psnr(image, decode_image(model, blob))))
+            decoded = decode_image(model, blob)
+        rows.append((iteration, bpp(len(blob), h, w), psnr(image, decoded)))
 
     with open(args.csv, "w") as fh:
         fh.write("iteration,bpp,psnr\n")
@@ -342,7 +341,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormatError as exc:

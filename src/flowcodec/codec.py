@@ -503,6 +503,8 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
             f"image of shape {image.shape} does not match a "
             f"{model.config.in_channels}-channel model"
         )
+    if image.size == 0:
+        raise ValueError(f"image of shape {image.shape} has no pixels")
     if not np.isfinite(image).all():
         raise ValueError("image contains non-finite values")
     if len(spec.delta0) != model.base_channels:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .quantize import round_to_grid
 from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
@@ -195,10 +196,7 @@ def mean_symbol(mu, delta):
     This is the most likely symbol of the discrete logistic and the value
     substituted for skipped or un-transmitted elements.
     """
-    if isinstance(mu, Tensor) or isinstance(delta, Tensor):
-        return T.mul(T.ste_round(T.div(mu, delta)), delta)
-    delta = np.asarray(delta, dtype=np.float64)
-    return np.round(np.asarray(mu, dtype=np.float64) / delta) * delta
+    return round_to_grid(mu, delta)
 
 
 def bits(prob) -> Tensor:
@@ -215,19 +213,16 @@ def latent_rate_bits(
     sigma1,
     mu2,
     sigma2,
-    spec,
+    steps,
 ) -> Tensor:
     """Total code length in bits of one latent set under the models.
 
     Base latents under the per-channel prior at their per-channel steps;
     conditional latents under discrete logistics at their level steps.
     Differentiable in every argument, including steps given as Tensors.
-    `spec` is a QuantSpec or a (delta2, delta1, delta0) triple.
+    `steps` is the (delta2, delta1, delta0) triple.
     """
-    if isinstance(spec, QuantSpec):
-        d2, d1, d0 = spec.delta2, spec.delta1, spec.delta0
-    else:
-        d2, d1, d0 = spec
+    d2, d1, d0 = steps
     p0 = prior.bin_prob(channels_first(T.as_tensor(z0)), d0)
     r0 = T.reduce_sum(bits(p0))
     r1 = T.reduce_sum(bits(logistic_bin_prob(T.as_tensor(z1), mu1, sigma1, d1)))

@@ -6,6 +6,8 @@ and shifted back, which makes the quantization error independent of the
 signal.  Gradients pass through the rounding as identity.  The test-time
 path is plain deterministic rounding to the step grid (ties to even),
 which is what makes re-encoding reproduce identical latents.
+`round_to_grid` is the one grid rounding: the dithered quantizer, the
+codec's latents and mean symbols, and step tuning all go through it.
 
 Pure functions given an explicit noise draw; the generator used to
 produce draws is owned exclusively by the training loop.
@@ -24,17 +26,15 @@ def draw_noise(rng: np.random.Generator, step: float) -> float:
     return float(rng.uniform(-step / 2.0, step / 2.0))
 
 
-def universal_quantize(z: Tensor, step, u: float) -> Tensor:
-    """Dithered rounding  step * round((z + u)/step) - u  with shared u.
+def universal_quantize(z: Tensor, step: float, u: float) -> Tensor:
+    """Dithered rounding  round_to_grid(z + u, step) - u  with shared u.
 
     |output - z| <= step/2 elementwise; the round is straight-through so
-    d(output)/dz is the identity.  `step` may be a Tensor when the step
-    itself is being optimized.
+    d(output)/dz is the identity.
     """
-    if abs(u) > _step_value(step) / 2.0 + 1e-12:
-        raise ValueError(f"noise draw {u} exceeds half step {_step_value(step) / 2}")
-    shifted = T.div(T.add(z, u), step)
-    return T.sub(T.mul(T.ste_round(shifted), step), u)
+    if abs(u) > step / 2.0 + 1e-12:
+        raise ValueError(f"noise draw {u} exceeds half step {step / 2}")
+    return T.sub(round_to_grid(T.add(z, u), step), u)
 
 
 def round_to_grid(z, step):
@@ -52,9 +52,3 @@ def round_to_grid(z, step):
 def grid_index(z: np.ndarray, step) -> np.ndarray:
     """Integer symbol index round(z/step) of on-grid values."""
     return np.round(np.asarray(z) / np.asarray(step)).astype(np.int64)
-
-
-def _step_value(step) -> float:
-    if isinstance(step, Tensor):
-        return float(np.min(step.data))
-    return float(np.min(np.asarray(step)))

@@ -24,10 +24,10 @@ is codable, and the escape slot is always the last count,
 signed 32-bit symbol value, as two uniform 16-bit halves (high first).
 `build_freq_tables` quantizes many probability rows in one vectorized
 pass, each row to the table it would get alone; `build_freq_table` is
-its one-row case.  Their tables, like `FrequencyTable(k_min, freqs)`,
-come from `_tables`, which checks the counts of every row at once and
-takes all starts from one cumulative sum.  A section's code ends
-exactly where its bytes end, so bytes after it make the section corrupt.
+its one-row case.  Every `FrequencyTable` comes from `_tables`, which
+checks the counts of every row at once and takes all starts from one
+cumulative sum.  A section's code ends exactly where its bytes end, so
+bytes after it make the section corrupt.
 
 Tables are immutable once built and may be shared by any number of
 threads; one coder state per stream, single-threaded per stream.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,19 +53,15 @@ MAX_SYMBOLS = 1 << 15  # table width guard; wider ranges go through escapes
 RAW_MIN, RAW_MAX = -(1 << 31), (1 << 31) - 1  # escaped symbols must fit 32 bits
 
 
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """Integer frequencies over symbols from k_min plus a trailing escape slot.
 
     `starts[i]` is the cumulative count before slot i; the escape slot is
-    the last one and starts at TOTAL - 1.
+    the last one and starts at TOTAL - 1.  Built only by `_tables`.
     """
 
-    __slots__ = ("k_min", "starts")
-
-    def __init__(self, k_min: int, freqs: np.ndarray):
-        freqs = np.asarray(freqs).reshape(-1)
-        (table,) = _tables([k_min], freqs, np.array([freqs.size]))
-        self.k_min, self.starts = table.k_min, table.starts
+    k_min: int
+    starts: array
 
 
 def _tables(k_mins: Sequence[int], freqs: np.ndarray, widths: np.ndarray) -> list[FrequencyTable]:
@@ -84,12 +80,8 @@ def _tables(k_mins: Sequence[int], freqs: np.ndarray, widths: np.ndarray) -> lis
     if freqs.min() < 1 or np.any(freqs[ends - 1] != 1):
         raise NumericError("every frequency must be at least one and the escape exactly one")
     starts = (cum[:-1] - np.repeat(cum[firsts], widths)).astype(np.uint16).tobytes()
-    tables = []
-    for k_min, a, b in zip(k_mins, (2 * firsts).tolist(), (2 * ends).tolist()):
-        table = object.__new__(FrequencyTable)
-        table.k_min, table.starts = int(k_min), array("H", starts[a:b])
-        tables.append(table)
-    return tables
+    return [FrequencyTable(int(k_min), array("H", starts[a:b]))
+            for k_min, a, b in zip(k_mins, (2 * firsts).tolist(), (2 * ends).tolist())]
 
 
 def build_freq_table(probs: np.ndarray, k_min: int) -> FrequencyTable:

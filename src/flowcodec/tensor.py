@@ -7,10 +7,11 @@ Arrays are plain numpy; the tape is the DAG of `Tensor` nodes, walked
 once in reverse topological order by `backward()`.
 
 Layout convention for image-like tensors is (batch, channel, height,
-width).  Broadcasting is limited to scalars and numpy-style size-1 axes
-(used for per-channel biases); gradients are summed back to the parent
-shape.  Single-tape work is single-threaded; distinct tensors/models may
-be used from distinct threads.
+width).  Binary ops broadcast as numpy does (scalars and size-1 axes,
+used for per-channel biases), and numpy's ValueError refuses shapes
+that do not broadcast; gradients are summed back to the parent shape.
+Single-tape work is single-threaded; distinct tensors/models may be
+used from distinct threads.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled.get()
 
 
 class Tensor:
@@ -224,21 +221,11 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
-def _check_binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(
-            f"{opname}: incompatible shapes {a.shape} and {b.shape}"
-        ) from None
-
-
 # -- elementwise binary ops -----------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "add")
 
     def backward(g: Array):
         return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
@@ -248,7 +235,6 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "sub")
 
     def backward(g: Array):
         return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
@@ -258,7 +244,6 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "mul")
 
     def backward(g: Array):
         return [
@@ -271,7 +256,6 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "div")
 
     def backward(g: Array):
         return [

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
+from .codec import pad_to_multiple
 from .entropy import QuantSpec, latent_rate_bits, mean_symbol
 from .errors import NumericError
 from .flow import LEVELS, DecoderChain, FlowModel
@@ -276,15 +277,13 @@ def _check_corpus(model: FlowModel, images, patch: int = 1) -> None:
 
 def sample_batch(corpus: list[np.ndarray], rng: np.random.Generator,
                  batch_size: int, patch: int) -> np.ndarray:
-    """Random crops of random corpus images, stacked to (B,C,patch,patch)."""
-    if not corpus:
-        raise ValueError("empty corpus")
+    """Random crops of random corpus images, stacked to (B,C,patch,patch).
+    The corpus is one `train()` has checked: non-empty, every image at
+    least patch x patch."""
     out = np.empty((batch_size, corpus[0].shape[0], patch, patch), dtype=np.float64)
     for b in range(batch_size):
         img = corpus[int(rng.integers(len(corpus)))]
         _, h, w = img.shape
-        if h < patch or w < patch:
-            raise ValueError(f"corpus image {img.shape} smaller than patch {patch}")
         top = int(rng.integers(h - patch + 1))
         left = int(rng.integers(w - patch + 1))
         out[b] = img[:, top : top + patch, left : left + patch]
@@ -367,12 +366,10 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
         raise ValueError("lambda must be positive")
     _check_corpus(model, images)
 
-    from .codec import pad_to_multiple  # local import avoids a cycle
-
     cached = []
     with no_grad():
         for img in images:
-            padded = pad_to_multiple(np.asarray(img, dtype=np.float64), 8)
+            padded = pad_to_multiple(np.asarray(img, dtype=np.float64), 2 ** LEVELS)
             zs, hs = model.forward(Tensor(padded[None]))
             mu1, sig1, mu2, sig2 = _forward_conditionals(model, hs)
             cached.append({

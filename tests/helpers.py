@@ -14,7 +14,7 @@ import numpy as np
 import flowcodec.codec as C
 import flowcodec.tensor as T
 from flowcodec.flow import LatentSet
-from flowcodec.rangecoder import TOTAL
+from flowcodec.rangecoder import TOTAL, _tables
 from flowcodec.tensor import Tensor, no_grad
 
 
@@ -189,6 +189,13 @@ def skip_boundary_sigma(delta: float, p_thresh: float) -> float:
     it exceeds p_thresh iff s lies below this boundary.
     """
     return float(delta) / (2.0 * np.log((1.0 + p_thresh) / (1.0 - p_thresh)))
+
+
+def table_from_counts(k_min: int, freqs):
+    """A FrequencyTable over symbols from k_min with the given integer
+    counts, escape slot last, through the coder's own count checks."""
+    freqs = np.asarray(freqs).reshape(-1)
+    return _tables([k_min], freqs, np.array([freqs.size]))[0]
 
 
 def cum(table) -> np.ndarray:

@@ -59,6 +59,30 @@ class TestEncodeDecode:
         assert not out.exists()
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [("encode", "--model"), ("encode", "--input"),
+                                              ("decode", "--model"), ("decode", "--bitstream"),
+                                              ("inspect", "--bitstream")])
+    def test_directory_path_exit_2(self, quick_model_path, test_card, tmp_path, capsys,
+                                   command, flag):
+        """A directory where a file belongs is a usage error with a
+        one-line message, not a traceback."""
+        bs = tmp_path / "card.nfb"
+        assert run("encode", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", "1.0", "--out", bs) == 0
+        capsys.readouterr()
+        argv = {
+            "encode": {"--model": quick_model_path, "--input": test_card, "--deltas": "1.0",
+                       "--out": tmp_path / "o.nfb"},
+            "decode": {"--model": quick_model_path, "--bitstream": bs,
+                       "--out": tmp_path / "o.ppm"},
+            "inspect": {"--bitstream": bs},
+        }[command]
+        argv[flag] = tmp_path
+        assert run(command, *(a for pair in argv.items() for a in pair)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o.nfb").exists() and not (tmp_path / "o.ppm").exists()
+
     def test_bad_deltas_argument(self, quick_model_path, test_card, tmp_path):
         assert run("encode", "--model", quick_model_path, "--input", test_card,
                    "--deltas", "nonsense", "--out", tmp_path / "x.nfb") == 2
@@ -325,6 +349,22 @@ class TestReencodeLoop:
         lines = csv.read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[1] == lines[2].split(",")[1]
+
+    def test_one_decode_per_stream(self, quick_model_path, test_card, tmp_path,
+                                   monkeypatch):
+        """Each of the iters + 1 streams is decoded once: its decode gives
+        that row's psnr and the next iteration's input."""
+        real_decode = cli.decode_image
+        calls = {"n": 0}
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_image", counted)
+        assert run("reencode-loop", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", "1.0", "--iters", 5, "--csv", tmp_path / "x.csv") == 0
+        assert calls["n"] == 5 + 1
 
     def test_corrupted_intermediate_aborts_with_iteration(self, quick_model_path,
                                                           test_card, tmp_path,

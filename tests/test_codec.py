@@ -1,6 +1,7 @@
 """Codec: round trips, skip agreement, container rules, progressive modes."""
 
 import math
+import re
 import struct
 import sys
 import threading
@@ -19,6 +20,7 @@ from helpers import (
     perturb_model,
     reference_conditionals,
     skip_boundary_sigma,
+    table_from_counts,
 )
 
 import flowcodec.codec as C
@@ -34,7 +36,7 @@ from flowcodec.entropy import FactorizedPrior, QuantSpec, logistic_bin_prob, mea
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
 from flowcodec.flow import FlowConfig, FlowLevel, FlowModel
 from flowcodec.quantize import round_to_grid
-from flowcodec.rangecoder import TOTAL, FrequencyTable
+from flowcodec.rangecoder import TOTAL
 from flowcodec.tensor import Tensor, no_grad
 
 
@@ -304,7 +306,7 @@ class TestGridTables:
             assert freqs(table).min() >= 1
             assert freqs(table)[-1] == 1
         with pytest.raises(NumericError, match="at least one"):
-            FrequencyTable(0, np.array([TOTAL - 1, 0, 1]))
+            table_from_counts(0, [TOTAL - 1, 0, 1])
 
     def test_grid_bounds(self):
         """Neighbouring scales are at most 1.15x apart, and the cache with
@@ -573,6 +575,12 @@ class TestContainer:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 encode_image(model, bad, spec_for(model, 1.0))
+
+    @pytest.mark.parametrize("shape", [(3, 0, 8), (3, 8, 0)])
+    def test_encoder_rejects_zero_extent_image(self, model, shape):
+        """Refused before the transform runs, with the shape in the message."""
+        with pytest.raises(ValueError, match=re.escape(f"image of shape {shape} has no pixels")):
+            encode_image(model, np.zeros(shape), spec_for(model, 1.0))
 
     @pytest.mark.parametrize("field,value,match", [
         ("channels", 1, "image channels"),

@@ -177,21 +177,21 @@ class TestRate:
         z2 = rng.normal(size=(2, 2, 8, 8))
         mu1, s1 = rng.normal(size=z1.shape), np.abs(rng.normal(size=z1.shape)) + 0.3
         mu2, s2 = rng.normal(size=z2.shape), np.abs(rng.normal(size=z2.shape)) + 0.3
-        spec = QuantSpec(1.0, 0.5, np.full(8, 0.25))
+        d2, d1, d0 = 1.0, 0.5, np.full(8, 0.25)
 
         total = latent_rate_bits(
             Tensor(z0), Tensor(z1), Tensor(z2), prior,
-            Tensor(mu1), Tensor(s1), Tensor(mu2), Tensor(s2), spec,
+            Tensor(mu1), Tensor(s1), Tensor(mu2), Tensor(s2), (d2, d1, d0),
         ).item()
 
         v0 = z0.transpose(1, 0, 2, 3).reshape(8, -1)
-        p0 = eval_chain_oracle(prior, v0 + spec.delta0[:, None] / 2) - eval_chain_oracle(
-            prior, v0 - spec.delta0[:, None] / 2
+        p0 = eval_chain_oracle(prior, v0 + d0[:, None] / 2) - eval_chain_oracle(
+            prior, v0 - d0[:, None] / 2
         )
         expected = (
             -np.log2(np.clip(p0, PROB_FLOOR, 1)).sum()
-            - np.log2(logistic_bin_prob(z1, mu1, s1, spec.delta1)).sum()
-            - np.log2(logistic_bin_prob(z2, mu2, s2, spec.delta2)).sum()
+            - np.log2(logistic_bin_prob(z1, mu1, s1, d1)).sum()
+            - np.log2(logistic_bin_prob(z2, mu2, s2, d2)).sum()
         )
         assert abs(total - expected) < 1e-8 * abs(expected)
         assert total >= 0.0

@@ -5,14 +5,13 @@ import re
 
 import numpy as np
 import pytest
-from helpers import cum, freqs, largest_remainder_freqs
+from helpers import cum, freqs, largest_remainder_freqs, table_from_counts
 
 from flowcodec.errors import FormatError, NumericError
 from flowcodec.rangecoder import (
     RAW_MAX,
     RAW_MIN,
     TOTAL,
-    FrequencyTable,
     RangeDecoder,
     RangeEncoder,
     _decode_slots,
@@ -214,10 +213,10 @@ def golden_stream():
     escapes up to 32 bits; two pending runs, of 454 and 96 bytes,
     resolve through a carry."""
     tables = [
-        FrequencyTable(0, np.array([TOTAL - 2, 1, 1])),
-        FrequencyTable(-8, np.array([4096] * 15 + [4095, 1])),
-        FrequencyTable(-3, np.array([3 ** i for i in range(10)] + [36011, 1])),
-        FrequencyTable(5, np.array([1, TOTAL - 3, 1, 1])),
+        table_from_counts(0, np.array([TOTAL - 2, 1, 1])),
+        table_from_counts(-8, np.array([4096] * 15 + [4095, 1])),
+        table_from_counts(-3, np.array([3 ** i for i in range(10)] + [36011, 1])),
+        table_from_counts(5, np.array([1, TOTAL - 3, 1, 1])),
     ]
     k_mins = np.array([t.k_min for t in tables])
     rng = np.random.default_rng(20261018)

@@ -39,7 +39,7 @@ class TestElementwise:
             T.log(Tensor([1.0, 0.0]))
 
     def test_binary_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="incompatible shapes"):
+        with pytest.raises(ValueError, match=r"broadcast.*\(2,3\).*\(4,5\)"):
             T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
     def test_scalar_broadcast(self):
@@ -127,11 +127,14 @@ class TestBackward:
         entered, release = threading.Event(), threading.Event()
         seen = []
 
+        def recording() -> bool:
+            return (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
+
         def inference():
             with T.no_grad():
                 entered.set()
                 release.wait(timeout=10)
-                seen.append(T.grad_enabled())
+                seen.append(recording())
 
         worker = threading.Thread(target=inference)
         worker.start()
@@ -139,14 +142,13 @@ class TestBackward:
             assert entered.wait(timeout=10)
             x = Tensor(np.ones(3), requires_grad=True)
             y = (x * 2.0).sum()
-            assert T.grad_enabled()
             assert y.requires_grad and y._parents
         finally:
             release.set()
             worker.join(timeout=10)
         assert not worker.is_alive()
         assert seen == [False]
-        assert T.grad_enabled()
+        assert recording()
 
 
 class TestDeterminism:

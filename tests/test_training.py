@@ -158,14 +158,6 @@ class TestSampleBatch:
         assert a.shape == (5, 1, 16, 16)
         assert np.array_equal(a, b)
 
-    def test_too_small_image_rejected(self):
-        with pytest.raises(ValueError, match="smaller than patch"):
-            sample_batch([np.zeros((1, 8, 8))], np.random.default_rng(0), 1, 16)
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            sample_batch([], np.random.default_rng(0), 1, 16)
-
 
 class TestNllLoss:
     def test_zero_init_matches_direct_bin_evaluation(self):
@@ -388,6 +380,10 @@ class TestCorpusCheck:
         with pytest.raises(ValueError, match="corpus image 0 "):
             train(tiny_model(seed=33, in_channels=3), corpus,
                   TrainConfig(batch_size=2, steps=1, patch=16))
+
+    def test_train_refuses_an_empty_corpus(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            train(tiny_model(seed=34), [], TrainConfig(batch_size=2, steps=1, patch=16))
 
     def test_finetune_refuses_a_nan_image(self):
         images = tiny_corpus(np.random.default_rng(35), n=2)
