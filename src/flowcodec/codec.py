@@ -179,10 +179,11 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
         raise FormatError(f"bad header steps: {exc}") from None
     multiple = 2 ** LEVELS
     for axis, orig, pad in (("height", orig_h, pad_h), ("width", orig_w, pad_w)):
-        if pad <= 0 or pad % multiple:
-            raise FormatError(f"padded {axis} {pad} is not a positive multiple of {multiple}")
-        if not 1 <= orig <= pad:
-            raise FormatError(f"original {axis} {orig} lies outside [1, {pad}]")
+        if orig < 1:
+            raise FormatError(f"original {axis} {orig} is not positive")
+        if pad != orig + (-orig) % multiple:
+            raise FormatError(f"padded {axis} {pad} is not original {axis} {orig} "
+                              f"rounded up to a multiple of {multiple}")
     if pad_h * pad_w > MAX_PIXELS:
         raise FormatError(
             f"padded extents {pad_h}x{pad_w} exceed the {MAX_PIXELS}-pixel limit"
@@ -248,15 +249,8 @@ def pad_to_multiple(image: np.ndarray, multiple: int) -> np.ndarray:
     pw = (-w) % multiple
     if ph == 0 and pw == 0:
         return image
-    out = image
-    while ph or pw:
-        # symmetric padding caps at the current extents; loop for tiny images
-        step_h = min(ph, out.shape[1])
-        step_w = min(pw, out.shape[2])
-        out = np.pad(out, ((0, 0), (0, step_h), (0, step_w)), mode="symmetric")
-        ph -= step_h
-        pw -= step_w
-    return out
+    # a pad wider than the image repeats the reflection
+    return np.pad(image, ((0, 0), (0, ph), (0, pw)), mode="symmetric")
 
 
 # -- conditioning helpers ------------------------------------------------------------

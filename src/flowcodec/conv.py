@@ -6,9 +6,10 @@ and both backward passes are one matmul each over tap-major columns
 (Cin*kh*kw, N*H*W), built by one slice copy per kernel tap into a zeroed
 array whose untouched border stands in for the padding.  No padded copy
 and no strided im2col view is made, and the heavy lifting stays inside
-BLAS.  The input gradient is computed only for an input on the tape
-(`requires_grad`); a conv whose input is computed from data alone, such
-as the image, skips that matmul.
+BLAS.  The backward computes a gradient only for a parent on the tape
+(`requires_grad`), whether input, kernel or bias: a conv fed from the
+image alone skips the input matmul, and a conv of a frozen model (as
+step tuning uses) skips the kernel matmul and its column rebuild.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ def conv2d(x, kernel, bias=None) -> Tensor:
     """Same-padded stride-1 convolution of (N,Cin,H,W) with (Cout,Cin,kh,kw).
 
     Differentiable w.r.t. input, kernel and the per-output-channel bias;
-    the backward returns no input gradient for an input that does not
-    require one.  Kernel spatial extents must be odd so that output
-    extents match input.
+    the backward returns a gradient only for a parent that requires one.
+    Kernel spatial extents must be odd so that output extents match
+    input.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -83,16 +84,18 @@ def conv2d(x, kernel, bias=None) -> Tensor:
         data = data + bias.data[None, :, None, None]
 
     def backward(g: Array):
-        # d/dkernel: g against the input's columns, rebuilt rather than kept
-        # from the forward pass so that the tape holds no column arrays
-        gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-        gk = (gmat @ _columns(x.data, kh, kw).T).reshape(kernel.shape)
-        grads = [(kernel, gk)]
+        grads = []
+        if kernel.requires_grad:
+            # d/dkernel: g against the input's columns, rebuilt rather than
+            # kept from the forward pass so that the tape holds no column arrays
+            gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+            gk = (gmat @ _columns(x.data, kh, kw).T).reshape(kernel.shape)
+            grads.append((kernel, gk))
         if x.requires_grad:
             # d/dx: correlate g with the spatially flipped, channel-transposed kernel
             kflip = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
             grads.append((x, _corr2d(g, kflip)))
-        if bias is not None:
+        if bias is not None and bias.requires_grad:
             grads.append((bias, g.sum(axis=(0, 2, 3))))
         return grads
 

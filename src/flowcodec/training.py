@@ -17,7 +17,8 @@ elsewhere; its dequantization noise is drawn on every step all the same,
 so batches, dithers and trained parameters do not depend on `NLL_EVERY`.
 
 Data loading may be concurrent; the optimization step owns the
-parameters exclusively; evaluation helpers are read-only.
+parameters exclusively; evaluation helpers and step tuning are
+read-only (tuning works on a frozen copy of the model).
 """
 
 from __future__ import annotations
@@ -178,12 +179,17 @@ def _dequant_noise(rng: np.random.Generator, cfg: TrainConfig,
     return rng.uniform(0.0, cfg.dequant_amplitude, size=batch.shape)
 
 
+def _squared_error(x: Tensor, y: Tensor) -> Tensor:
+    diff = T.sub(x, y)
+    return T.reduce_mean(T.mul(diff, diff))
+
+
 def nll_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
              rng: np.random.Generator) -> Tensor:
     """Mean over the batch of total bits of the dequantized batch under
     the bin-integrated models at the training step size; no Jacobian term
     exists because every layer is volume preserving."""
-    x = Tensor((batch + _dequant_noise(rng, cfg, batch)).astype(model.dtype))
+    x = Tensor(batch + _dequant_noise(rng, cfg, batch))
     zs, hs = model.forward(x)
     mu1, sig1, mu2, sig2 = _forward_conditionals(model, hs)
     rate = latent_rate_bits(zs[2], zs[1], zs[0], model.prior,
@@ -207,7 +213,7 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     reconstruction shares the chain's first step, the level-2 inverse of
     the quantized base latent, and inverts the other two levels itself.
     """
-    x = Tensor(batch.astype(model.dtype))
+    x = Tensor(batch)
     zs, hs = model.forward(x)
     d = cfg.delta_train
     z2_hat = quantize_fn(zs[0], d, 2)
@@ -226,9 +232,7 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     for _ in range(LEVELS - 1):  # z1, then z2, stand in as substituted means
         x_sampled = chain.invert(substitute_fn(chain.conditionals()[0], d))
 
-    err_full = T.reduce_mean(T.mul(T.sub(x, x_full), T.sub(x, x_full)))
-    err_sampled = T.reduce_mean(T.mul(T.sub(x, x_sampled), T.sub(x, x_sampled)))
-    return rate, err_full, err_sampled
+    return rate, _squared_error(x, x_full), _squared_error(x, x_sampled)
 
 
 def rd_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
@@ -355,49 +359,45 @@ def train(model: FlowModel, corpus: list[np.ndarray], cfg: TrainConfig,
 
 def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
                     steps: int = 120, lr: float = 1e-1) -> QuantSpec:
-    """Tune the step set on frozen parameters for one rate weight.
+    """Tune the step set of a trained model for one rate weight.
 
-    Steps are optimized as log-values (positivity), with gradients
-    flowing through the straight-through grid rounding and the
-    bin-probability formulas.  On divergence the learning rate is halved
-    once; a second failure aborts.
+    Tuning works on a frozen copy of the model, with every parameter off
+    the tape, so the caller's model is only read: its parameters gain no
+    gradient and other threads may go on coding with it.  Steps are
+    optimized as log-values (positivity), with gradients flowing through
+    the straight-through grid rounding and the bin-probability formulas.
+    On divergence the learning rate is halved once; a second failure
+    aborts.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     _check_corpus(model, images)
+    frozen = FlowModel.from_bytes(model.to_bytes())
+    for p in frozen.params.tensors():
+        p.requires_grad = False
 
-    cached = []
-    with no_grad():
-        for img in images:
-            padded = pad_to_multiple(np.asarray(img, dtype=np.float64), 2 ** LEVELS)
-            zs, hs = model.forward(Tensor(padded[None]))
-            mu1, sig1, mu2, sig2 = _forward_conditionals(model, hs)
-            cached.append({
-                "x": padded[None],
-                "z": [z.data for z in zs],
-                "cond": (mu1.data, sig1.data, mu2.data, sig2.data),
-            })
+    cached = []  # (x, latents, conditionals) per image, all off the tape
+    for img in images:
+        x = Tensor(pad_to_multiple(np.asarray(img, dtype=np.float64), 2 ** LEVELS)[None])
+        zs, hs = frozen.forward(x)
+        cached.append((x, zs, _forward_conditionals(frozen, hs)))
 
     def attempt(rate_lr: float) -> QuantSpec | None:
-        log_d2 = Tensor(np.array(0.0), requires_grad=True)
-        log_d1 = Tensor(np.array(0.0), requires_grad=True)
-        log_d0 = Tensor(np.zeros(model.base_channels), requires_grad=True)
-        opt = Adam([log_d2, log_d1, log_d0], lr=rate_lr)
+        log_steps = [Tensor(np.array(0.0), requires_grad=True),
+                     Tensor(np.array(0.0), requires_grad=True),
+                     Tensor(np.zeros(frozen.base_channels), requires_grad=True)]
+        opt = Adam(log_steps, lr=rate_lr)
         for _ in range(steps):
-            for p in (log_d2, log_d1, log_d0):
+            for p in log_steps:
                 p.zero_grad()
             total = None
-            for entry in cached:
-                d2, d1, d0 = T.exp(log_d2), T.exp(log_d1), T.exp(log_d0)
-                z2 = round_to_grid(Tensor(entry["z"][0]), d2)
-                z1 = round_to_grid(Tensor(entry["z"][1]), d1)
-                z0 = round_to_grid(Tensor(entry["z"][2]), d0.reshape(1, -1, 1, 1))
-                mu1, sig1, mu2, sig2 = (Tensor(a) for a in entry["cond"])
-                rate = latent_rate_bits(z0, z1, z2, model.prior,
-                                        mu1, sig1, mu2, sig2, (d2, d1, d0))
-                x_hat = model.inverse([z2, z1, z0])
-                x = Tensor(entry["x"])
-                err = T.reduce_mean(T.mul(T.sub(x, x_hat), T.sub(x, x_hat)))
+            for x, zs, conditionals in cached:
+                d2, d1, d0 = (T.exp(p) for p in log_steps)
+                z2 = round_to_grid(zs[0], d2)
+                z1 = round_to_grid(zs[1], d1)
+                z0 = round_to_grid(zs[2], d0.reshape(1, -1, 1, 1))
+                rate = latent_rate_bits(z0, z1, z2, frozen.prior, *conditionals, (d2, d1, d0))
+                err = _squared_error(x, frozen.inverse([z2, z1, z0]))
                 term = T.add(rate, T.mul(err, lam))
                 total = term if total is None else T.add(total, term)
             loss = T.div(total, float(len(cached)))
@@ -405,11 +405,10 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
                 return None
             loss.backward()
             opt.step()
-        if not (np.isfinite(log_d2.item()) and np.isfinite(log_d1.item())
-                and np.all(np.isfinite(log_d0.data))):
+        if not all(np.all(np.isfinite(p.data)) for p in log_steps):
             return None
-        return QuantSpec(float(np.exp(log_d2.item())), float(np.exp(log_d1.item())),
-                         np.exp(log_d0.data))
+        d2, d1, d0 = (np.exp(p.data) for p in log_steps)
+        return QuantSpec(float(d2), float(d1), d0)
 
     result = attempt(lr)
     if result is None:

@@ -116,18 +116,26 @@ class TestGradients:
         assert gradcheck(build, [weight], h=1e-5, floor=1e-6) < 1e-4
 
     def test_off_tape_input_gets_no_gradient(self):
+        """Input, kernel or bias, taken off the tape alone, gets no
+        gradient pair; the parents left on the tape get the gradients of
+        the all-on-tape call."""
         rng = np.random.default_rng(15)
-        data = rng.normal(size=(2, 3, 5, 5))
-        k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
+        arrays = [rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3)),
+                  rng.normal(size=4)]
         g = rng.normal(size=(2, 4, 5, 5))
-        x_on = Tensor(data, requires_grad=True)
-        on = {id(p): pg for p, pg in conv2d(x_on, k, b)._backward(g)}
-        x_off = Tensor(data)
-        off = {id(p): pg for p, pg in conv2d(x_off, k, b)._backward(g)}
-        assert id(x_on) in on and id(x_off) not in off
-        assert np.array_equal(off[id(k)], on[id(k)])
-        assert np.array_equal(off[id(b)], on[id(b)])
+
+        def grads(off):
+            parents = [Tensor(a, requires_grad=i != off) for i, a in enumerate(arrays)]
+            by_id = {id(p): pg for p, pg in conv2d(*parents)._backward(g)}
+            return [by_id.get(id(p)) for p in parents]
+
+        on = grads(None)
+        for off in range(3):
+            got = grads(off)
+            assert got[off] is None
+            for i in range(3):
+                if i != off:
+                    assert np.array_equal(got[i], on[i]), (off, i)
 
 
 class TestErrors:

@@ -8,10 +8,12 @@ model's file.  Runs are derandomized, so a failure reproduces.
 
 import functools
 import hashlib
+import math
 import struct
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from helpers import perturb_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,25 @@ class TestBitstream:
         header.section_lengths[name] = length
         edited = C._pack_header(header) + b"".join(sections.values())
         assert not decodes_or_refuses(edited)
+
+    def test_padded_extents_must_match_the_originals(self):
+        """A 695-byte level-1 stream that declares 16x16 originals with
+        256x256 padded extents, every base range of width 1 and an all-zero
+        z0 section is refused by every reader, not decoded at 256x256."""
+        m = model()
+        header, _ = C._parse_header(stream())
+        ranges = [(0, 0)] * m.base_channels
+        n = math.prod(m.latent_shapes(256, 256)[-1])
+        z0 = C._encode_section(C._base_section(m, m.model_id, header.spec, ranges, n),
+                               np.zeros(n))
+        header = replace(header, level_mask=1.0, pad_h=256, pad_w=256, base_ranges=ranges,
+                         section_lengths=dict.fromkeys(C._SECTION_NAMES, 0) | {"z0": len(z0)})
+        blob = C._pack_header(header) + z0
+        assert len(blob) == 695
+        for read in (functools.partial(decode_image, m), C.inspect_bitstream,
+                     functools.partial(C.truncate_bitstream, target=1.0)):
+            with pytest.raises(FormatError, match="padded height 256 .* original height 16"):
+                read(blob)
 
     @FUZZ
     @given(st.lists(st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),

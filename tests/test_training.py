@@ -227,6 +227,25 @@ class TestRdLoss:
         for name, t in model.params.items():
             assert np.array_equal(grads_full[name], t.grad_array()), name
 
+    def test_float32_model_sees_the_float64_batch(self):
+        """A float32 model and its float64 twin (the same parameter values)
+        give the same distortions: the batch reaches the transform in
+        float64 for both.  Rates are not compared, since the prior's
+        softplus runs at the parameters' precision."""
+        from flowcodec.quantize import round_to_grid
+
+        single = tiny_model(dtype="float32")
+        perturb_model(single, np.random.default_rng(102), 0.01)
+        double = tiny_model(dtype="float64")
+        for (_, t32), (_, t64) in zip(single.params.items(), double.params.items()):
+            t64.data = t32.data.astype(np.float64)
+        cfg = TrainConfig(batch_size=2)
+        batch = sample_batch(tiny_corpus(np.random.default_rng(4)), np.random.default_rng(5), 2, 16)
+        terms = [rd_terms(m, batch, cfg, lambda z, delta, lv: round_to_grid(z, delta), mean_symbol)
+                 for m in (single, double)]
+        assert terms[0][1].item() == terms[1][1].item()  # err_full
+        assert terms[0][2].item() == terms[1][2].item()  # err_sampled
+
     def test_full_reconstruction_shares_the_chain_level_2_inverse(self, monkeypatch):
         model = tiny_model()
         perturb_model(model, np.random.default_rng(105), 0.01)
@@ -476,6 +495,19 @@ class TestFinetuneDeltas:
         assert coarse.delta2 > fine.delta2
         assert coarse.delta1 > fine.delta1
         assert np.all(coarse.delta0 >= fine.delta0 * 0.999)
+
+    def test_leaves_the_callers_model_unchanged(self):
+        """Tuning reads a frozen copy: the caller's parameters stay on the
+        tape without a gradient, and its bytes and id do not change."""
+        model = tiny_model(seed=26)
+        perturb_model(model, np.random.default_rng(105), 0.01)
+        raw, model_id = model.to_bytes(), model.model_id
+        images = tiny_corpus(np.random.default_rng(16), n=2, size=16)
+        finetune_deltas(model, images, lam=1.0, steps=3)
+        for name, t in model.params.items():
+            assert t.grad is None and t.requires_grad, name
+        assert model.to_bytes() == raw
+        assert model.model_id == model_id
 
     def test_rejects_bad_arguments(self):
         model = tiny_model(seed=27)
