@@ -113,8 +113,8 @@ def cmd_train(args) -> int:
     ))
     history = train(model, corpus, cfg, metrics_path=args.metrics)
     model.save(args.out)
-    print(f"trained {cfg.steps} steps; final loss {history[-1]['loss']:.2f}; "
-          f"model id {model.model_id.hex()}")
+    final = f"; final loss {history[-1]['loss']:.2f}" if history else ""
+    print(f"trained {cfg.steps} steps{final}; model id {model.model_id.hex()}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -174,6 +174,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_reencode_loop(args) -> int:
+    if args.iters < 0:
+        raise CliError(f"--iters must be >= 0, got {args.iters}", EXIT_USAGE)
     model = _load_model(args.model)
     image = read_image(args.input)
     spec = _load_deltas(args.deltas, model)

@@ -1,13 +1,15 @@
 """Entropy coding of latents and the bitstream container.
 
-Encoder and decoder walk one conditioning chain (`DecoderChain`): the
-base latents go first under the per-channel prior, then each conditional
-level is coded (or skipped) against (mean, scale) from features rebuilt
-out of the already-quantized deeper latents.  An element is skipped
-exactly when the bin mass at its conditional mean symbol exceeds the
-threshold, in which case both sides substitute that mean symbol; encoder
-and decoder therefore agree on every skip decision by construction, and
-the coder path always evaluates the models in float64.
+Latents arrive as a `LatentSet` in level order (z2, z1, z0) and are
+sent in reverse.  Encoder and decoder walk one conditioning chain
+(`DecoderChain`): the base latent z0 goes first under the per-channel
+prior, then z1 and z2 are each coded (or skipped) against (mean, scale)
+from features rebuilt out of the already-quantized deeper latents.  An
+element is skipped exactly when the bin mass at its conditional mean
+symbol exceeds the threshold, in which case both sides substitute that
+mean symbol; encoder and decoder therefore agree on every skip decision
+by construction, and the coder path always evaluates the models in
+float64.
 
 One section coder codes z0, z1, z2a and z2b alike.  A section is its
 coded element indices with a centre, a sign and a `build_freq_table`
@@ -422,11 +424,11 @@ def _decode_section(payload: bytes, s: _Section, flat: np.ndarray, context: str)
 
 
 def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
-          ranges: list[tuple[int, int]], z: list[np.ndarray], cut: int, present: list[str],
+          ranges: list[tuple[int, int]], z: LatentSet, cut: int, present: list[str],
           code: Callable[[str, _Section, np.ndarray], bytes | None],
           decoding: bool) -> tuple[dict[str, bytes | None], DecoderChain | None]:
-    """Walk the sections in stream order up the decoder chain, over the
-    level arrays z = [z0, z1, z2], which it updates in place.
+    """Walk the sections in stream order, z0 first, up the decoder chain,
+    over the latent arrays of z, which it updates in place.
 
     Each section named in `present` goes to code(name, section, flat
     level) once its skipped elements hold their mean symbol; every element
@@ -442,23 +444,23 @@ def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
         # the encoder fails on the same elements, so no stream codes them
         return FormatError(f"section {_SECTION_LABELS[name]}: {step} cannot be coded ({exc})")
 
-    flat = z[0].reshape(-1)
+    flat = z.z0.reshape(-1)
     try:
         section = _base_section(model, model_id, spec, ranges, flat.size)
     except NumericError as exc:
         raise uncodable("z0", "the base steps", exc) from None
     out = {"z0": code("z0", section, flat)}
     chain = None
-    for level, delta, parts in ((1, spec.delta1, (("z1", 0, z[1].size),)),
-                                (2, spec.delta2, (("z2a", 0, cut), ("z2b", cut, z[2].size)))):
+    for latent, delta, parts in ((z.z1, spec.delta1, (("z1", 0, z.z1.size),)),
+                                 (z.z2, spec.delta2, (("z2a", 0, cut), ("z2b", cut, z.z2.size)))):
         if parts[0][0] not in present and not decoding:
             break
         if chain is None:
-            chain = DecoderChain(model, z[0])
+            chain = DecoderChain(model, z.z0)
         else:
-            chain.invert(z[1])
+            chain.invert(z.z1)
         mu, sigma = (t.data.reshape(-1) for t in chain.conditionals())
-        flat = z[level].reshape(-1)
+        flat = latent.reshape(-1)
         for name, lo, hi in parts:
             if name not in present:
                 flat[lo:hi] = mean_symbol(mu[lo:hi], delta)
@@ -513,14 +515,13 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
                          f"exceeds the {MAX_PIXELS}-pixel limit")
 
     zs, _ = model.forward(Tensor(padded[None]))
-    z2 = round_to_grid(zs[0].data, spec.delta2)
-    z1 = round_to_grid(zs[1].data, spec.delta1)
-    z0 = round_to_grid(zs[2].data, spec.delta0[None, :, None, None])
+    z = LatentSet(round_to_grid(zs.z2.data, spec.delta2), round_to_grid(zs.z1.data, spec.delta1),
+                  round_to_grid(zs.z0.data, spec.delta0[None, :, None, None]))
 
-    ranges = _base_ranges(z0, spec)
-    partial_count = int(np.ceil(partial_frac * z2[0].size))
+    ranges = _base_ranges(z.z0, spec)
+    partial_count = int(np.ceil(partial_frac * z.z2[0].size))
     model_id = model.model_id
-    sections, _ = _walk(model, model_id, spec, p_thresh, ranges, [z0, z1, z2], partial_count,
+    sections, _ = _walk(model, model_id, spec, p_thresh, ranges, z, partial_count,
                         _sections_at(levels),
                         lambda _, section, flat: _encode_section(section, flat),
                         decoding=False)
@@ -551,7 +552,7 @@ def _check_against_model(header: Header, model: FlowModel) -> None:
             f"header declares {len(header.spec.delta0)} base channels, model has "
             f"{model.base_channels}"
         )
-    n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w)[0])
+    n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w).z2)
     if header.partial_count > n_z2:
         raise FormatError(
             f"partial count {header.partial_count} exceeds the {n_z2} z2 elements"
@@ -579,15 +580,15 @@ def _decode(model: FlowModel, blob: bytes,
             f"requested {levels} levels but the stream holds {header.level_mask}"
         )
     sections = _split_sections(blob, header, start)
-    z = [np.zeros((1,) + shape) for shape in reversed(model.latent_shapes(header.pad_h,
-                                                                          header.pad_w))]
+    z = LatentSet(*(np.zeros((1,) + shape)
+                    for shape in model.latent_shapes(header.pad_h, header.pad_w)))
 
     def decode(name: str, section: _Section, flat: np.ndarray) -> None:
         _decode_section(sections[name], section, flat, f"section {_SECTION_LABELS[name]}")
 
     _, chain = _walk(model, header.model_id, header.spec, header.p_thresh, header.base_ranges, z,
                      header.partial_count, _sections_at(levels), decode, decoding=True)
-    return LatentSet(*z), header, chain
+    return z, header, chain
 
 
 def decode_latents(model: FlowModel, blob: bytes,

@@ -204,27 +204,19 @@ def bits(prob) -> Tensor:
     return T.mul(T.log(T.as_tensor(prob)), -LOG2E)
 
 
-def latent_rate_bits(
-    z0,
-    z1,
-    z2,
-    prior: FactorizedPrior,
-    mu1,
-    sigma1,
-    mu2,
-    sigma2,
-    steps,
-) -> Tensor:
+def latent_rate_bits(zs, prior: FactorizedPrior, conditionals, steps) -> Tensor:
     """Total code length in bits of one latent set under the models.
 
-    Base latents under the per-channel prior at their per-channel steps;
-    conditional latents under discrete logistics at their level steps.
+    `zs` is a `LatentSet` (z2, z1, z0), `conditionals` the pairs
+    [(mu2, sigma2), (mu1, sigma1)] and `steps` (delta2, delta1, delta0), all
+    in that level order.  The base latent z0 goes under the per-channel
+    prior at its per-channel steps (or one scalar step), z1 and z2 under
+    discrete logistics at their level steps; the sum runs r0 + r1 + r2.
     Differentiable in every argument, including steps given as Tensors.
-    `steps` is the (delta2, delta1, delta0) triple.
     """
+    (mu2, sigma2), (mu1, sigma1) = conditionals
     d2, d1, d0 = steps
-    p0 = prior.bin_prob(channels_first(T.as_tensor(z0)), d0)
-    r0 = T.reduce_sum(bits(p0))
-    r1 = T.reduce_sum(bits(logistic_bin_prob(T.as_tensor(z1), mu1, sigma1, d1)))
-    r2 = T.reduce_sum(bits(logistic_bin_prob(T.as_tensor(z2), mu2, sigma2, d2)))
+    r0 = T.reduce_sum(bits(prior.bin_prob(channels_first(T.as_tensor(zs.z0)), d0)))
+    r1 = T.reduce_sum(bits(logistic_bin_prob(T.as_tensor(zs.z1), mu1, sigma1, d1)))
+    r2 = T.reduce_sum(bits(logistic_bin_prob(T.as_tensor(zs.z2), mu2, sigma2, d2)))
     return T.add(T.add(r0, r1), r2)

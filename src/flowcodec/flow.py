@@ -7,10 +7,12 @@ deepest level emits everything that remains as the base latent.  Every
 layer has unit Jacobian determinant, so the composed map is exactly
 volume preserving and the inverse is closed form.
 
-Channel bookkeeping for input channels c: level 1 processes 4c and
-emits 2c; level 2 processes 4*(2c) and emits 4c; level 3 emits all 16c
-remaining channels at 1/8 spatial resolution.  Total latent elements
-always equal input elements.
+Channel bookkeeping for input channels c: level 0 processes 4c and
+emits z2 of 2c channels; level 1 processes 4*(2c) and emits z1 of 4c;
+level 2 emits all 16c remaining channels at 1/8 spatial resolution as
+the base latent z0.  Total latent elements always equal input elements.
+Latents travel in this level order as a `LatentSet` (z2, z1, z0); the
+coder sends them in reverse.
 
 The permutation and coupling partitions are drawn once from the model
 seed and rebuilt from it when a model file is loaded; the conditioning
@@ -36,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -69,6 +72,11 @@ class FlowConfig:
     def validate(self) -> None:
         if self.in_channels < 1 or self.steps < 1 or self.blocks < 1 or self.hidden < 1:
             raise ValueError("in_channels, steps, blocks and hidden must be >= 1")
+        # the widths of the model file header's fields
+        if max(self.steps, self.blocks, self.prior_width, self.prior_depth) > 255:
+            raise ValueError("steps, blocks, prior_width and prior_depth must be <= 255")
+        if max(self.in_channels, self.hidden) > 65535:
+            raise ValueError("in_channels and hidden must be <= 65535")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         if self.dtype not in ("float32", "float64"):
@@ -98,13 +106,13 @@ class FlowConfig:
         return total
 
 
-@dataclass
-class LatentSet:
-    """The (z0, z1, z2) triple; z0 is the deepest (base) latent."""
+class LatentSet(NamedTuple):
+    """The latents in level order: z2, z1, then the base latent z0.  Holds
+    Tensors from `forward`, shapes from `latent_shapes` or decoded arrays."""
 
-    z0: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
+    z2: Any
+    z1: Any
+    z0: Any
 
 
 class ResNet:
@@ -325,30 +333,24 @@ class FlowModel:
                 "pad before the transform"
             )
 
-    def latent_shapes(self, h: int, w: int) -> list[tuple[int, int, int]]:
-        """(channels, height, width) per level for an h x w input."""
-        shapes = []
-        for i, ch in enumerate(self.latent_channels):
-            f = 2 ** (i + 1)
-            shapes.append((ch, h // f, w // f))
-        return shapes
+    def latent_shapes(self, h: int, w: int) -> LatentSet:
+        """(channels, height, width) of each latent for an h x w input."""
+        return LatentSet(*((ch, h // 2 ** (i + 1), w // 2 ** (i + 1))
+                           for i, ch in enumerate(self.latent_channels)))
 
     # -- bijection --------------------------------------------------------------
 
-    def forward(self, x: Tensor) -> tuple[list[Tensor], list[Tensor]]:
-        """Image to latents.  Returns ([z2, z1, z0] in level order, [h2, h1]),
-        all float64."""
+    def forward(self, x: Tensor) -> tuple[LatentSet, list[Tensor]]:
+        """Image to latents: the `LatentSet` of Tensors and the continued
+        features [h2, h1] that condition z2 and z1, all float64."""
         self.check_input(x)
-        zs: list[Tensor] = []
-        hs: list[Tensor] = []
-        feed = T.astype(x, np.float64)
+        zs, hs = [], []
+        h = T.astype(x, np.float64)
         for level in self.levels:
-            z, h = level.forward(feed)
+            z, h = level.forward(h)
             zs.append(z)
-            if h is not None:
-                hs.append(h)
-                feed = h
-        return zs, hs
+            hs.append(h)
+        return LatentSet(*zs), hs[:-1]  # the base level continues no features
 
     def inverse(self, zs: list[Tensor]) -> Tensor:
         """Latents (level order, as from `forward`) back to the image, in
@@ -413,8 +415,9 @@ class FlowModel:
         return model_id
 
     def save(self, path) -> None:
+        raw = self.to_bytes()  # before the file opens, so a failed save writes nothing
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(raw)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "FlowModel":

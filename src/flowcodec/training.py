@@ -32,7 +32,7 @@ from . import tensor as T
 from .codec import pad_to_multiple
 from .entropy import QuantSpec, latent_rate_bits, mean_symbol
 from .errors import NumericError
-from .flow import LEVELS, DecoderChain, FlowModel
+from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
 from .quantize import draw_noise, round_to_grid, universal_quantize
 from .tensor import Tensor, no_grad
 
@@ -165,13 +165,8 @@ def bpp(n_bytes: int, height: int, width: int) -> float:
 
 
 def _forward_conditionals(model: FlowModel, hs: list[Tensor]):
-    mu2, sig2 = model.conditioning_params(0, hs[0])
-    mu1, sig1 = model.conditioning_params(1, hs[1])
-    return mu1, sig1, mu2, sig2
-
-
-def _train_spec(model: FlowModel, delta: float):
-    return (delta, delta, np.full(model.base_channels, delta))
+    """[(mu2, sigma2), (mu1, sigma1)] from the forward features [h2, h1]."""
+    return [model.conditioning_params(level, h) for level, h in enumerate(hs)]
 
 
 def _dequant_noise(rng: np.random.Generator, cfg: TrainConfig,
@@ -191,9 +186,8 @@ def nll_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     exists because every layer is volume preserving."""
     x = Tensor(batch + _dequant_noise(rng, cfg, batch))
     zs, hs = model.forward(x)
-    mu1, sig1, mu2, sig2 = _forward_conditionals(model, hs)
-    rate = latent_rate_bits(zs[2], zs[1], zs[0], model.prior,
-                            mu1, sig1, mu2, sig2, _train_spec(model, cfg.delta_train))
+    rate = latent_rate_bits(zs, model.prior, _forward_conditionals(model, hs),
+                            (cfg.delta_train,) * 3)
     return T.div(rate, float(batch.shape[0]))
 
 
@@ -201,7 +195,7 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
              quantize_fn, substitute_fn):
     """(rate_bits_per_image, mse_full, mse_sampled) for one batch.
 
-    `quantize_fn(z, delta, level)` produces the coded latents;
+    `quantize_fn(z, delta, k)` produces the coded latent of z_k;
     `substitute_fn(mu, delta)` produces the sampling-path stand-ins.
     Injecting these keeps one shared graph for training (dithered
     rounding, mean symbols) and for the smooth gradient-check variant.
@@ -216,19 +210,15 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     x = Tensor(batch)
     zs, hs = model.forward(x)
     d = cfg.delta_train
-    z2_hat = quantize_fn(zs[0], d, 2)
-    z1_hat = quantize_fn(zs[1], d, 1)
-    z0_hat = quantize_fn(zs[2], d, 0)
-    mu1, sig1, mu2, sig2 = _forward_conditionals(model, hs)
-
+    z_hat = LatentSet(quantize_fn(zs.z2, d, 2), quantize_fn(zs.z1, d, 1),
+                      quantize_fn(zs.z0, d, 0))
     rate = T.div(
-        latent_rate_bits(z0_hat, z1_hat, z2_hat, model.prior,
-                         mu1, sig1, mu2, sig2, _train_spec(model, d)),
+        latent_rate_bits(z_hat, model.prior, _forward_conditionals(model, hs), (d,) * 3),
         float(batch.shape[0]),
     )
-    chain = DecoderChain(model, z0_hat)
+    chain = DecoderChain(model, z_hat.z0)
     x_full = model.reconstruct_features(
-        0, z2_hat, model.reconstruct_features(1, z1_hat, chain.features))
+        0, z_hat.z2, model.reconstruct_features(1, z_hat.z1, chain.features))
     for _ in range(LEVELS - 1):  # z1, then z2, stand in as substituted means
         x_sampled = chain.invert(substitute_fn(chain.conditionals()[0], d))
 
@@ -393,11 +383,10 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
             total = None
             for x, zs, conditionals in cached:
                 d2, d1, d0 = (T.exp(p) for p in log_steps)
-                z2 = round_to_grid(zs[0], d2)
-                z1 = round_to_grid(zs[1], d1)
-                z0 = round_to_grid(zs[2], d0.reshape(1, -1, 1, 1))
-                rate = latent_rate_bits(z0, z1, z2, frozen.prior, *conditionals, (d2, d1, d0))
-                err = _squared_error(x, frozen.inverse([z2, z1, z0]))
+                z = LatentSet(round_to_grid(zs.z2, d2), round_to_grid(zs.z1, d1),
+                              round_to_grid(zs.z0, d0.reshape(1, -1, 1, 1)))
+                rate = latent_rate_bits(z, frozen.prior, conditionals, (d2, d1, d0))
+                err = _squared_error(x, frozen.inverse(z))
                 term = T.add(rate, T.mul(err, lam))
                 total = term if total is None else T.add(total, term)
             loss = T.div(total, float(len(cached)))

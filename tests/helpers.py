@@ -13,7 +13,6 @@ import numpy as np
 
 import flowcodec.codec as C
 import flowcodec.tensor as T
-from flowcodec.flow import LatentSet
 from flowcodec.rangecoder import TOTAL, _tables
 from flowcodec.tensor import Tensor, no_grad
 
@@ -166,15 +165,6 @@ def reference_conditionals(model, level: int, zs: list) -> tuple[np.ndarray, np.
             h = model.levels[i].inverse(Tensor(np.asarray(zs[i], dtype=np.float64)), h)
         mu, sigma = model.conditioning_params(level, h)
     return mu.data, sigma.data
-
-
-def latents_from_levels(zs: list) -> LatentSet:
-    """A LatentSet from levels in transform output order [z2, z1, z0]."""
-    return LatentSet(z0=zs[2], z1=zs[1], z2=zs[0])
-
-
-def total_elements(latents: LatentSet) -> int:
-    return latents.z0.size + latents.z1.size + latents.z2.size
 
 
 def num_elements(params) -> int:

@@ -274,6 +274,21 @@ class TestTrain:
         assert run("train", "--corpus", corpus_dir, "--out", out,
                    "--config", cfg, "--hidden", 8) == 0
 
+    def test_zero_steps_writes_the_untrained_model(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "m.nfc"
+        assert run("train", "--corpus", corpus_dir, "--out", out, "--steps", 0,
+                   "--hidden", 8, "--patch", 16, "--seed", 5) == 0
+        assert FlowModel.load(out).config.seed == 5
+        assert "trained 0 steps; model id" in capsys.readouterr().out
+
+    def test_architecture_beyond_the_model_header_exit_2(self, corpus_dir, tmp_path):
+        """256 couplings per level do not fit the model file's header, so
+        training is refused before it starts and no file is written."""
+        out = tmp_path / "m.nfc"
+        assert run("train", "--corpus", corpus_dir, "--out", out, "--steps", 1,
+                   "--flow-steps", 256, "--hidden", 1) == 2
+        assert not out.exists()
+
     def test_empty_corpus_exit_2(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -349,6 +364,12 @@ class TestReencodeLoop:
         lines = csv.read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[1] == lines[2].split(",")[1]
+
+    def test_negative_iters_exit_2(self, quick_model_path, test_card, tmp_path):
+        csv = tmp_path / "loop.csv"
+        assert run("reencode-loop", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", "1.0", "--iters", -1, "--csv", csv) == 2
+        assert not csv.exists()
 
     def test_one_decode_per_stream(self, quick_model_path, test_card, tmp_path,
                                    monkeypatch):

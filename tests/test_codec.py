@@ -34,7 +34,7 @@ from flowcodec.codec import (
 )
 from flowcodec.entropy import FactorizedPrior, QuantSpec, logistic_bin_prob, mean_symbol
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
-from flowcodec.flow import FlowConfig, FlowLevel, FlowModel
+from flowcodec.flow import FlowConfig, FlowLevel, FlowModel, LatentSet
 from flowcodec.quantize import round_to_grid
 from flowcodec.rangecoder import TOTAL
 from flowcodec.tensor import Tensor, no_grad
@@ -102,6 +102,23 @@ class TestRoundTrip:
         z2_expected = np.where(skip2, mean_symbol(mu2, spec.delta2),
                                round_to_grid(zs[0].data, spec.delta2))
         assert np.array_equal(latents.z2, z2_expected)
+
+    def test_latent_sets_agree_by_name(self, model, image):
+        """forward, latent_shapes, QuantSpec and decode_latents name the same
+        latents: each forward field has the shape of the latent_shapes field
+        of its name, and with nothing skipped each decoded field is that
+        forward field rounded at the step of its name."""
+        spec = QuantSpec(0.5, 2.0, np.linspace(0.25, 1.0, model.base_channels))
+        padded = pad_to_multiple(image, 8)
+        with no_grad():
+            zs, _ = model.forward(Tensor(padded[None]))
+        shapes = model.latent_shapes(padded.shape[1], padded.shape[2])
+        latents, _ = decode_latents(model, encode_image(model, image, spec, p_thresh=1.0))
+        steps = LatentSet(z2=spec.delta2, z1=spec.delta1, z0=spec.delta0[None, :, None, None])
+        for name in LatentSet._fields:
+            z = getattr(zs, name).data
+            assert z.shape == (1,) + getattr(shapes, name)
+            assert np.array_equal(getattr(latents, name), round_to_grid(z, getattr(steps, name)))
 
     def test_each_level_inverted_once(self, model, image, monkeypatch):
         """The encoder stops after coding z2, and the decoder finishes the
@@ -603,7 +620,7 @@ class TestContainer:
             header = replace(header, spec=QuantSpec(spec.delta2, spec.delta1, spec.delta0[:-1]),
                              base_ranges=header.base_ranges[:-1])
         elif field == "partial_count":  # one past the z2 element count
-            n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w)[0])
+            n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w).z2)
             header = replace(header, partial_count=n_z2 + 1)
         elif field == "base_ranges":  # first channel's range reversed or widest
             lo, hi = header.base_ranges[0]

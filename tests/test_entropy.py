@@ -16,6 +16,7 @@ from flowcodec.entropy import (
     mean_symbol,
     sigmoid_np,
 )
+from flowcodec.flow import LatentSet
 from flowcodec.tensor import Tensor
 
 
@@ -180,8 +181,8 @@ class TestRate:
         d2, d1, d0 = 1.0, 0.5, np.full(8, 0.25)
 
         total = latent_rate_bits(
-            Tensor(z0), Tensor(z1), Tensor(z2), prior,
-            Tensor(mu1), Tensor(s1), Tensor(mu2), Tensor(s2), (d2, d1, d0),
+            LatentSet(z2=Tensor(z2), z1=Tensor(z1), z0=Tensor(z0)), prior,
+            [(Tensor(mu2), Tensor(s2)), (Tensor(mu1), Tensor(s1))], (d2, d1, d0),
         ).item()
 
         v0 = z0.transpose(1, 0, 2, 3).reshape(8, -1)
@@ -210,7 +211,7 @@ class TestRate:
 
         def build():
             return latent_rate_bits(
-                z0, z1, z2, prior, mu1, sig1, mu1, sig1, (1.0, d1, d0)
+                LatentSet(z2, z1, z0), prior, [(mu1, sig1), (mu1, sig1)], (1.0, d1, d0)
             )
 
         assert gradcheck(build, params, h=1e-5, floor=1e-5) < 1e-4

@@ -7,11 +7,11 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import latents_from_levels, perturb_model, total_elements
+from helpers import perturb_model
 
 import flowcodec.tensor as T
 from flowcodec.errors import FormatError
-from flowcodec.flow import AdditiveCoupling, DecoderChain, FlowConfig, FlowModel
+from flowcodec.flow import AdditiveCoupling, DecoderChain, FlowConfig, FlowModel, LatentSet
 from flowcodec.params import ParamStore
 from flowcodec.tensor import Tensor
 from flowcodec.training import AdaMax
@@ -33,7 +33,7 @@ class TestChannelBookkeeping:
     def test_latent_shapes_for_24px_rgb(self):
         m = desk_model()
         shapes = m.latent_shapes(24, 24)
-        assert shapes == [(6, 12, 12), (12, 6, 6), (48, 3, 3)]
+        assert shapes == LatentSet(z2=(6, 12, 12), z1=(12, 6, 6), z0=(48, 3, 3))
 
     def test_forward_shapes_match(self, model):
         x = Tensor(np.random.default_rng(71).normal(size=(2, 3, 24, 24)))
@@ -44,8 +44,8 @@ class TestChannelBookkeeping:
     def test_element_conservation(self, model):
         x = Tensor(np.random.default_rng(72).normal(size=(1, 3, 16, 32)))
         zs, _ = model.forward(x)
-        latents = latents_from_levels([z.data for z in zs])
-        assert total_elements(latents) == x.size
+        latents = LatentSet(*(z.data for z in zs))
+        assert sum(z.size for z in latents) == x.size
 
     def test_indivisible_extents_rejected(self, model):
         with pytest.raises(ValueError, match="divisible"):
@@ -300,6 +300,27 @@ class TestModelFile:
     def test_param_count_matches_the_built_model(self, config):
         model = FlowModel(config)
         assert config.param_count() == sum(t.size for t in model.params.tensors())
+
+    @pytest.mark.parametrize("field,limit", [
+        ("steps", 255), ("blocks", 255), ("prior_width", 255), ("prior_depth", 255),
+        ("in_channels", 65535), ("hidden", 65535),
+    ])
+    def test_config_bounded_by_the_header_fields(self, field, limit):
+        """Every architecture field fits its model-header field, so a model
+        that builds also saves."""
+        FlowConfig(**{field: limit}).validate()
+        with pytest.raises(ValueError, match=field):
+            FlowConfig(**{field: limit + 1}).validate()
+
+    def test_failed_save_writes_nothing(self, model, tmp_path, monkeypatch):
+        def unpackable():
+            raise struct.error("argument out of range")
+
+        monkeypatch.setattr(model, "to_bytes", unpackable)
+        path = tmp_path / "m.nfc"
+        with pytest.raises(struct.error):
+            model.save(path)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(FormatError, match="magic"):

@@ -109,7 +109,7 @@ class TestBitstream:
         m = model()
         header, _ = C._parse_header(stream())
         ranges = [(0, 0)] * m.base_channels
-        n = math.prod(m.latent_shapes(256, 256)[-1])
+        n = math.prod(m.latent_shapes(256, 256).z0)
         z0 = C._encode_section(C._base_section(m, m.model_id, header.spec, ranges, n),
                                np.zeros(n))
         header = replace(header, level_mask=1.0, pad_h=256, pad_w=256, base_ranges=ranges,
