@@ -223,6 +223,9 @@ def cmd_reencode_loop(args) -> int:
 
 
 def cmd_rd_sweep(args) -> int:
+    if args.calibration_images < 1:
+        raise CliError(f"--calibration-images must be >= 1, got {args.calibration_images}",
+                       EXIT_USAGE)
     model = _load_model(args.model)
     corpus = _corpus_images(args.corpus)
     lambdas = []

@@ -455,10 +455,7 @@ def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
                                  (z.z2, spec.delta2, (("z2a", 0, cut), ("z2b", cut, z.z2.size)))):
         if parts[0][0] not in present and not decoding:
             break
-        if chain is None:
-            chain = DecoderChain(model, z.z0)
-        else:
-            chain.invert(z.z1)
+        chain = DecoderChain.start(model, z.z0) if chain is None else chain.invert(z.z1)
         mu, sigma = (t.data.reshape(-1) for t in chain.conditionals())
         flat = latent.reshape(-1)
         for name, lo, hi in parts:
@@ -606,7 +603,7 @@ def decode_latents(model: FlowModel, blob: bytes,
 def decode_image(model: FlowModel, blob: bytes, levels: float | None = None) -> np.ndarray:
     """Decompress to a (C,H,W) float image at the original extents."""
     latents, header, chain = _decode(model, blob, levels)
-    x = chain.invert(latents.z2)
+    x = chain.invert(latents.z2).features
     return x.data[0, :, : header.orig_h, : header.orig_w]
 
 

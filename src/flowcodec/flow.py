@@ -1,11 +1,12 @@
 """Bijective multi-level image transform.
 
-Three levels, each: 2x2 space-to-depth, K steps of (seeded random
-channel permutation, additive coupling), then a factor-out that emits
-half the channels as that level's latent and passes the rest on.  The
-deepest level emits everything that remains as the base latent.  Every
-layer has unit Jacobian determinant, so the composed map is exactly
-volume preserving and the inverse is closed form.
+Three levels of one type, `FlowLevel`, each: 2x2 space-to-depth, K steps
+of (seeded random channel permutation, additive coupling), then a
+factor-out that emits half the channels as that level's latent and
+passes the rest on.  The deepest level emits everything that remains as
+the base latent.  Every layer has unit Jacobian determinant, so the
+composed map is exactly volume preserving and the inverse is closed
+form.
 
 Channel bookkeeping for input channels c: level 0 processes 4c and
 emits z2 of 2c channels; level 1 processes 4*(2c) and emits z1 of 4c;
@@ -14,6 +15,11 @@ the base latent z0.  Total latent elements always equal input elements.
 Latents travel in this level order as a `LatentSet` (z2, z1, z0); the
 coder sends them in reverse.
 
+The inverse has one walk, the immutable `DecoderChain`: it starts at z0
+and inverts one level per step, and the conditionals of the next latent
+come from the features it has rebuilt.  `FlowModel.inverse`, the codec,
+the trainer's sampling path and step tuning all walk it.
+
 The permutation and coupling partitions are drawn once from the model
 seed and rebuilt from it when a model file is loaded; the conditioning
 networks are small residual stacks whose output convolutions start at
@@ -21,7 +27,7 @@ zero, so a freshly built model is the identity map with unit-scale
 conditionals.
 
 The transform computes in float64 for every model: `forward` promotes
-the image, `inverse` and `DecoderChain` the latents, so a float32 model
+the image and `DecoderChain` the latents, so a float32 model
 stores its parameters at 32 bits but rounds like a float64 one.  Additive
 couplings on raw [0, 255] pixels lose about one float32 ulp per
 coupling, and the inverse's conditioners, fed inputs an ulp away from
@@ -51,6 +57,10 @@ from .tensor import Tensor
 
 MODEL_MAGIC = b"NFC1"
 MODEL_VERSION = 1
+# An NFC1 model file is this header, the parameter blob, then the SHA-256 of
+# both.  Fields: magic, version, dtype code, levels, steps, blocks, hidden,
+# in_channels, seed, prior width, prior depth, prior init scale, blob bytes.
+MODEL_HEADER = struct.Struct("<4sBBBBBHHQBBdQ")
 LEVELS = 3
 LOG_SCALE_BOUND = 7.0
 
@@ -191,36 +201,12 @@ class AdditiveCoupling:
         return T.take_channels(T.concat_channels([va, ub]), self.unscramble)
 
 
-class FactorOut:
-    """Split channels into an emitted half and a continued half, with a
-    conditioning net mapping the continued half to (mean, log-scale) for
-    the emitted one."""
-
-    def __init__(self, store: ParamStore, name: str, channels: int,
-                 blocks: int, hidden: int, rng: np.random.Generator, dtype):
-        self.emit = channels // 2
-        self.phi = ResNet(store, f"{name}.phi", self.emit, 2 * self.emit,
-                          blocks, hidden, rng, dtype)
-
-    def split(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        z = T.take_channels(x, np.arange(self.emit))
-        h = T.take_channels(x, np.arange(self.emit, 2 * self.emit))
-        return z, h
-
-    def merge(self, z: Tensor, h: Tensor) -> Tensor:
-        return T.concat_channels([z, h])
-
-    def conditioning(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        """(mu, sigma) per emitted element; sigma = exp(s), s in [-7, 7]."""
-        out = self.phi(h)
-        mu = T.take_channels(out, np.arange(self.emit))
-        s = T.take_channels(out, np.arange(self.emit, 2 * self.emit))
-        sigma = T.exp(T.clip(s, -LOG_SCALE_BOUND, LOG_SCALE_BOUND))
-        return mu, sigma
-
-
 class FlowLevel:
-    """squeeze, K x (permutation, coupling), optional factor-out."""
+    """squeeze, K x (permutation, coupling), then, below the base level, a
+    factor-out: the first `emit` channels leave as this level's latent and
+    the rest continue to the next level, and `phi` maps the continued half
+    to the (mean, log-scale) of the emitted one.  The base level emits all
+    its channels and has no `phi`."""
 
     def __init__(self, store: ParamStore, name: str, in_ch: int, steps: int,
                  blocks: int, hidden: int, last: bool,
@@ -239,24 +225,35 @@ class FlowLevel:
                 AdditiveCoupling(store, f"{name}.step{k}.coupling", channels,
                                  partition, blocks, hidden, weight_rng, dtype)
             )
-        self.factor: FactorOut | None = None
+        self.emit = channels if last else channels // 2
+        self.phi: ResNet | None = None
         if not last:
-            self.factor = FactorOut(store, f"{name}.factor", channels,
-                                    blocks, hidden, weight_rng, dtype)
+            self.phi = ResNet(store, f"{name}.factor.phi", self.emit, 2 * self.emit,
+                              blocks, hidden, weight_rng, dtype)
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None]:
+        """(latent, continued features); the base level continues None."""
         x = T.squeeze2x2(x)
         for perm, coupling in zip(self.perms, self.couplings):
             x = coupling.forward(T.take_channels(x, perm))
-        if self.factor is None:
+        if self.phi is None:
             return x, None
-        return self.factor.split(x)
+        return (T.take_channels(x, np.arange(self.emit)),
+                T.take_channels(x, np.arange(self.emit, 2 * self.emit)))
 
     def inverse(self, z: Tensor, h: Tensor | None) -> Tensor:
-        x = z if self.factor is None else self.factor.merge(z, h)
+        x = z if self.phi is None else T.concat_channels([z, h])
         for inv_perm, coupling in zip(reversed(self.inv_perms), reversed(self.couplings)):
             x = T.take_channels(coupling.inverse(x), inv_perm)
         return T.unsqueeze2x2(x)
+
+    def conditioning(self, h: Tensor) -> tuple[Tensor, Tensor]:
+        """(mu, sigma) per emitted element; sigma = exp(s), s in [-7, 7]."""
+        out = self.phi(h)
+        mu = T.take_channels(out, np.arange(self.emit))
+        s = T.take_channels(out, np.arange(self.emit, 2 * self.emit))
+        sigma = T.exp(T.clip(s, -LOG_SCALE_BOUND, LOG_SCALE_BOUND))
+        return mu, sigma
 
 
 class FlowModel:
@@ -285,19 +282,13 @@ class FlowModel:
         weight_rng = np.random.default_rng(weight_seed)
 
         self.levels: list[FlowLevel] = []
-        self.latent_channels: list[int] = []
         c = config.in_channels
         for i in range(LEVELS):
-            last = i == LEVELS - 1
-            level = FlowLevel(self.params, f"level{i}", c, config.steps,
-                              config.blocks, config.hidden, last,
-                              struct_rng, weight_rng, dtype)
-            self.levels.append(level)
-            if last:
-                self.latent_channels.append(level.channels)
-            else:
-                self.latent_channels.append(level.channels // 2)
-                c = level.channels // 2
+            self.levels.append(FlowLevel(self.params, f"level{i}", c, config.steps,
+                                         config.blocks, config.hidden, i == LEVELS - 1,
+                                         struct_rng, weight_rng, dtype))
+            c = self.levels[-1].emit  # a non-base level continues as many as it emits
+        self.latent_channels = [level.emit for level in self.levels]
 
         self.prior = FactorizedPrior(
             channels=self.latent_channels[-1],
@@ -352,15 +343,11 @@ class FlowModel:
             hs.append(h)
         return LatentSet(*zs), hs[:-1]  # the base level continues no features
 
-    def inverse(self, zs: list[Tensor]) -> Tensor:
-        """Latents (level order, as from `forward`) back to the image, in
-        float64."""
-        if len(zs) != LEVELS:
-            raise ValueError(f"expected {LEVELS} latent tensors, got {len(zs)}")
-        h: Tensor | None = None
-        for i in range(LEVELS - 1, -1, -1):
-            h = self.levels[i].inverse(T.astype(zs[i], np.float64), h)
-        return h
+    def inverse(self, zs) -> Tensor:
+        """Latents (z2, z1, z0), as from `forward`, back to the image in
+        float64, by the `DecoderChain` walk."""
+        z2, z1, z0 = zs
+        return DecoderChain.start(self, z0).invert(z1).invert(z2).features
 
     def reconstruct_features(self, level: int, z, h: Tensor | None) -> Tensor:
         """One `DecoderChain` step: `level`'s inverse on its latent z and the
@@ -368,33 +355,20 @@ class FlowModel:
         return self.levels[level].inverse(T.astype(z, np.float64), h)
 
     def conditioning_params(self, level: int, h: Tensor) -> tuple[Tensor, Tensor]:
-        factor = self.levels[level].factor
-        if factor is None:
+        if self.levels[level].phi is None:
             raise ValueError(f"level {level} emits the base latent; no conditioning")
-        return factor.conditioning(h)
+        return self.levels[level].conditioning(h)
 
     # -- serialization -------------------------------------------------------------
 
-    def _header_bytes(self) -> bytes:
-        cfg = self.config
-        return MODEL_MAGIC + struct.pack(
-            "<BBBBBHHQBBd",
-            MODEL_VERSION,
-            _DTYPE_CODES[self.dtype],
-            LEVELS,
-            cfg.steps,
-            cfg.blocks,
-            cfg.hidden,
-            cfg.in_channels,
-            cfg.seed,
-            cfg.prior_width,
-            cfg.prior_depth,
-            cfg.prior_init_scale,
-        )
-
     def to_bytes(self) -> bytes:
+        cfg = self.config
         blob = self.params.to_bytes()
-        body = self._header_bytes() + struct.pack("<Q", len(blob)) + blob
+        body = MODEL_HEADER.pack(
+            MODEL_MAGIC, MODEL_VERSION, _DTYPE_CODES[self.dtype], LEVELS,
+            cfg.steps, cfg.blocks, cfg.hidden, cfg.in_channels, cfg.seed,
+            cfg.prior_width, cfg.prior_depth, cfg.prior_init_scale, len(blob),
+        ) + blob
         return body + hashlib.sha256(body).digest()
 
     @property
@@ -426,11 +400,9 @@ class FlowModel:
         body, digest = raw[:-32], raw[-32:]
         if hashlib.sha256(body).digest() != digest:
             raise FormatError("model file content hash mismatch")
-        header_len = 4 + struct.calcsize("<BBBBBHHQBBd")
         try:
-            (version, dtype_code, levels, steps, blocks, hidden, in_channels, seed,
-             pw, pd, pscale) = struct.unpack_from("<BBBBBHHQBBd", body, 4)
-            (blob_len,) = struct.unpack_from("<Q", body, header_len)
+            (_, version, dtype_code, levels, steps, blocks, hidden, in_channels, seed,
+             pw, pd, pscale, blob_len) = MODEL_HEADER.unpack_from(body)
         except struct.error:
             raise FormatError("model file truncated inside the header") from None
         if version != MODEL_VERSION:
@@ -439,8 +411,8 @@ class FlowModel:
             raise FormatError(f"model declares {levels} levels; this build uses {LEVELS}")
         if dtype_code not in _CODE_DTYPES:
             raise FormatError(f"unknown model dtype code {dtype_code}")
-        blob = raw[header_len + 8 : header_len + 8 + blob_len]
-        if len(blob) != blob_len or header_len + 8 + blob_len != len(body):
+        blob = body[MODEL_HEADER.size:]
+        if len(blob) != blob_len:
             raise FormatError("model file truncated")
         config = FlowConfig(
             in_channels=in_channels, steps=steps, blocks=blocks, hidden=hidden,
@@ -468,30 +440,34 @@ class FlowModel:
             return cls.from_bytes(fh.read())
 
 
+@dataclass(frozen=True)
 class DecoderChain:
-    """The decoder's walk from the base latent up to the image:
+    """One point of the decoder's walk from the base latent up to the image:
 
         z0 -> h1 -> (mu1, sigma1) -> z1 -> h2 -> (mu2, sigma2) -> z2 -> x
 
-    `conditionals()` gives (mean, scale) of the next latent from the
-    features rebuilt so far and `invert(z)` inverts its level, so a caller
-    may stop after any level.  Encoder, decoder and the trainer's sampling
-    path all walk this chain, so their conditionals agree bit for bit on
-    equal latents.
+    `start(model, z0)` inverts the base level; `conditionals()` gives
+    (mean, scale) of the next latent from the features rebuilt so far, and
+    `invert(z)` returns the chain one level up.  A chain is a value: it
+    never changes, so a caller may stop after any level or branch two
+    walks from one point.  Encoder, decoder, `FlowModel.inverse`, the
+    trainer's sampling path and step tuning all walk this chain, so their
+    features and conditionals agree bit for bit on equal latents.
     """
 
-    def __init__(self, model: FlowModel, z0):
-        self.model = model
-        self.level = LEVELS - 2  # the level whose latent `invert` takes next
-        self.features = model.reconstruct_features(LEVELS - 1, z0, None)
+    model: FlowModel
+    level: int         # the level whose latent `invert` takes next; -1 at the image
+    features: Tensor   # continued features, or the float64 image at level -1
+
+    @classmethod
+    def start(cls, model: FlowModel, z0) -> "DecoderChain":
+        return cls(model, LEVELS - 2, model.reconstruct_features(LEVELS - 1, z0, None))
 
     def conditionals(self) -> tuple[Tensor, Tensor]:
         """(mu, sigma) of the latent that `invert` takes next."""
         return self.model.conditioning_params(self.level, self.features)
 
-    def invert(self, z) -> Tensor:
-        """Invert the next level; returns its continued features, or the
-        float64 image once the finest level is inverted."""
-        self.features = self.model.reconstruct_features(self.level, z, self.features)
-        self.level -= 1
-        return self.features
+    def invert(self, z) -> "DecoderChain":
+        """The chain after inverting the next level on its latent z."""
+        return DecoderChain(self.model, self.level - 1,
+                            self.model.reconstruct_features(self.level, z, self.features))

@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import FormatError
 
-_PPM_HEADER = re.compile(rb"^P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+# Netpbm lets a '#' comment, to the end of its line, stand between header tokens
+_SEP = rb"(?:\s|#[^\n\r]*[\n\r])+"
+_PPM_HEADER = re.compile(rb"^P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
 
 
 def read_image(path) -> np.ndarray:

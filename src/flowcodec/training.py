@@ -7,8 +7,10 @@ dither-quantized latents (bits per image), the squared error of the full
 reconstruction, and the squared error of the sampling-path
 reconstruction that replaces all conditional latents by their mean
 symbols.  The rate term's conditioning (mean, scale) comes from the
-forward features, which keeps the graph cheap; the sampling path walks
-the decoder's own chain (`DecoderChain`), as a one-level decode does.
+forward features, which keeps the graph cheap.  Every inverse walks the
+decoder's own chain (`DecoderChain`): both reconstructions branch from
+one base point of it, the sampling path as a one-level decode does, and
+step tuning reaches it through `FlowModel.inverse`.
 
 `train` logs one row per step.  Its `nll` column, the dequantized
 likelihood under the same model, costs a third forward pass, so after
@@ -200,12 +202,13 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
     Injecting these keeps one shared graph for training (dithered
     rounding, mean symbols) and for the smooth gradient-check variant.
 
-    The rate term conditions on the forward features (cheap); the
-    sampling path walks the decoder chain exactly like a one-level decode:
-    each conditional mean comes from features rebuilt off the quantized
-    base latent and the already-substituted deeper levels.  The full
-    reconstruction shares the chain's first step, the level-2 inverse of
-    the quantized base latent, and inverts the other two levels itself.
+    The rate term conditions on the forward features (cheap).  Both
+    reconstructions walk the decoder chain from one base point, the
+    level-2 inverse of the quantized base latent, which they share: the
+    full one inverts the quantized z1 and z2, and the sampling path walks
+    exactly like a one-level decode, each conditional mean coming from
+    features rebuilt off the quantized base latent and the
+    already-substituted deeper levels.
     """
     x = Tensor(batch)
     zs, hs = model.forward(x)
@@ -216,13 +219,13 @@ def rd_terms(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
         latent_rate_bits(z_hat, model.prior, _forward_conditionals(model, hs), (d,) * 3),
         float(batch.shape[0]),
     )
-    chain = DecoderChain(model, z_hat.z0)
-    x_full = model.reconstruct_features(
-        0, z_hat.z2, model.reconstruct_features(1, z_hat.z1, chain.features))
+    base = DecoderChain.start(model, z_hat.z0)
+    x_full = base.invert(z_hat.z1).invert(z_hat.z2).features
+    chain = base
     for _ in range(LEVELS - 1):  # z1, then z2, stand in as substituted means
-        x_sampled = chain.invert(substitute_fn(chain.conditionals()[0], d))
+        chain = chain.invert(substitute_fn(chain.conditionals()[0], d))
 
-    return rate, _squared_error(x, x_full), _squared_error(x, x_sampled)
+    return rate, _squared_error(x, x_full), _squared_error(x, chain.features)
 
 
 def rd_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,
@@ -361,6 +364,8 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     _check_corpus(model, images)
     frozen = FlowModel.from_bytes(model.to_bytes())
     for p in frozen.params.tensors():

@@ -341,6 +341,24 @@ class TestFinetuneAndSweep:
         assert run("rd-sweep", "--model", quick_model_path, "--corpus", empty,
                    "--lambdas", "1", "--csv", tmp_path / "rd.csv") == 2
 
+    def test_negative_steps_exit_2_and_write_nothing(self, quick_model_path, corpus_dir,
+                                                     tmp_path):
+        out, csv = tmp_path / "steps.txt", tmp_path / "rd.csv"
+        assert run("finetune", "--model", quick_model_path, "--corpus", corpus_dir,
+                   "--lambda", "10", "--steps", -1, "--out", out) == 2
+        assert run("rd-sweep", "--model", quick_model_path, "--corpus", corpus_dir,
+                   "--lambdas", "1", "--steps", -1, "--csv", csv) == 2
+        assert not out.exists() and not csv.exists()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rd_sweep_calibration_count_below_one_exit_2(self, quick_model_path, corpus_dir,
+                                                        tmp_path, monkeypatch, count):
+        monkeypatch.setattr(cli, "finetune_deltas", lambda *a, **k: pytest.fail("tuned"))
+        csv = tmp_path / "rd.csv"
+        assert run("rd-sweep", "--model", quick_model_path, "--corpus", corpus_dir,
+                   "--lambdas", "1", "--calibration-images", count, "--csv", csv) == 2
+        assert not csv.exists()
+
 
 class TestReencodeLoop:
     def test_constant_rows_and_identical_streams(self, quick_model_path, test_card,

@@ -125,11 +125,8 @@ class TestBijectivity:
             a = T._squeeze_np(feed)
             for perm in level.perms:
                 a = a[:, perm]
-            if level.factor is None:
-                ref = a
-            else:
-                ref = a[:, : level.factor.emit]
-                feed = a[:, level.factor.emit :]
+            ref = a[:, : level.emit]
+            feed = a[:, level.emit :]
             assert np.array_equal(zs[i].data, ref)
 
     def test_zero_latents_zero_image(self):
@@ -193,26 +190,50 @@ class TestReconstructFeatures:
     def test_matches_forward_features_on_unquantized_latents(self, model):
         x = Tensor(np.random.default_rng(86).uniform(0, 255, size=(1, 3, 16, 16)))
         zs, hs = model.forward(x)
-        chain = DecoderChain(model, zs[2].data)
+        chain = DecoderChain.start(model, zs.z0.data)
         for level in (1, 0):
             assert np.max(np.abs(chain.features.data - hs[level].data)) < 1e-8
-            chain.invert(zs[level].data)
+            chain = chain.invert(zs[level].data)
 
     def test_bit_identical_across_calls(self, model):
         zs = [np.random.default_rng(87).normal(size=(1,) + s)
               for s in model.latent_shapes(16, 16)]
-        a = DecoderChain(model, zs[2]).invert(zs[1]).data
-        b = DecoderChain(model, zs[2]).invert(zs[1]).data
+        a = DecoderChain.start(model, zs[2]).invert(zs[1]).features.data
+        b = DecoderChain.start(model, zs[2]).invert(zs[1]).features.data
         assert np.array_equal(a, b)
 
     def test_sensitive_to_base_latent_change(self, model):
         zs = [np.random.default_rng(88).normal(size=(1,) + s)
               for s in model.latent_shapes(16, 16)]
-        h1 = DecoderChain(model, zs[2]).features.data
+        h1 = DecoderChain.start(model, zs[2]).features.data
         zs[2] = zs[2].copy()
         zs[2][0, 0, 0, 0] += 1.0
-        h1b = DecoderChain(model, zs[2]).features.data
+        h1b = DecoderChain.start(model, zs[2]).features.data
         assert not np.array_equal(h1, h1b)
+
+    def test_branches_from_one_chain_equal_fresh_chains(self, model):
+        rng = np.random.default_rng(89)
+        z2, z1, z0 = (rng.normal(size=(1,) + s) for s in model.latent_shapes(16, 16))
+        z1b, z2b = z1 + 0.5, z2 - 0.5
+        base = DecoderChain.start(model, z0)
+        level, features = base.level, base.features.data.copy()
+        a = base.invert(z1).invert(z2)
+        b = base.invert(z1b).invert(z2b)
+        assert base.level == level and np.array_equal(base.features.data, features)
+        assert np.array_equal(
+            a.features.data, DecoderChain.start(model, z0).invert(z1).invert(z2).features.data)
+        assert np.array_equal(
+            b.features.data, DecoderChain.start(model, z0).invert(z1b).invert(z2b).features.data)
+        assert not np.array_equal(a.features.data, b.features.data)
+
+    def test_inverse_is_the_chain_walk(self, model):
+        rng = np.random.default_rng(90)
+        zs = LatentSet(*(rng.normal(size=(1,) + s) for s in model.latent_shapes(16, 16)))
+        walked = DecoderChain.start(model, zs.z0).invert(zs.z1).invert(zs.z2).features.data
+        assert np.array_equal(model.inverse(zs).data, walked)
+        assert np.array_equal(model.inverse(list(zs)).data, walked)
+        with pytest.raises(ValueError):
+            model.inverse(list(zs)[:2])
 
 
 class TestModelFile:

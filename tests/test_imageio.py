@@ -30,6 +30,15 @@ class TestPpm:
         write_ppm(path, img)
         assert np.array_equal(read_image(path), img)
 
+    def test_header_comments_are_skipped(self, tmp_path):
+        pixels = bytes(range(6))
+        plain, commented = tmp_path / "plain.ppm", tmp_path / "commented.ppm"
+        plain.write_bytes(b"P6\n2 1\n255\n" + pixels)
+        commented.write_bytes(b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n2 # width\n"
+                              b"# height next\r1\n255\n" + pixels)
+        assert np.array_equal(read_image(commented), read_ppm(plain))
+        assert np.array_equal(read_ppm(plain)[:, 0, 1], [3.0, 4.0, 5.0])
+
     def test_rejects_ascii_ppm(self, tmp_path):
         path = tmp_path / "p3.ppm"
         path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")

@@ -477,7 +477,7 @@ class TestConditioningDivergence:
             zs, hs = model.forward(Tensor(batch))
             mu_fwd, _ = model.conditioning_params(1, hs[1])
             z0_hat = round_to_grid(zs[2].data, 1.0)
-            mu_rec, _ = DecoderChain(model, z0_hat).conditionals()
+            mu_rec, _ = DecoderChain.start(model, z0_hat).conditionals()
 
         gap = float(np.mean(np.abs(mu_fwd.data - mu_rec.data)))
         spread = float(np.std(mu_fwd.data)) + 1e-9
@@ -515,3 +515,11 @@ class TestFinetuneDeltas:
             finetune_deltas(model, [np.zeros((1, 16, 16))], lam=0.0)
         with pytest.raises(ValueError, match="empty"):
             finetune_deltas(model, [], lam=1.0)
+
+    def test_refuses_negative_steps_before_copying(self, monkeypatch):
+        model = tiny_model(seed=27)
+        images = tiny_corpus(np.random.default_rng(16), n=1, size=16)
+        monkeypatch.setattr(FlowModel, "from_bytes",
+                            classmethod(lambda cls, raw: pytest.fail("copied the model")))
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            finetune_deltas(model, images, lam=1.0, steps=-3)
