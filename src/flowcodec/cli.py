@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import (
-    LEVEL_CODES,
+    LEVEL_MASKS,
     P_THRESH_DEFAULT,
     decode_image,
     encode_image,
@@ -69,7 +69,7 @@ def _parse_levels(text: str) -> float:
         value = float(text)
     except ValueError:
         raise CliError(f"invalid level {text!r}", EXIT_USAGE) from None
-    if value not in LEVEL_CODES:
+    if value not in LEVEL_MASKS:
         raise CliError("levels must be 1, 2, 2.5 or 3", EXIT_USAGE)
     return value
 

@@ -56,15 +56,16 @@ random (lo, width) draws, so a decoder's tables would depend on its
 cache history.  One `build_freq_tables` call then quantizes every
 channel's slice.
 
-Container layout (`NFB1`, version 3, little-endian): a CRC-protected
-header (model id, original and padded extents, quantization steps,
-threshold, level mask, per-channel base symbol ranges, section byte
-lengths) followed by the payload sections z0, z1, z2a, z2b.  The finest
-level is coded as two independent streams split at a fixed raster
-position so that a partial-quality stream is a byte prefix; truncation
-drops whole trailing sections and never needs the model.  The decoder
-refuses a header whose fields disagree with each other or with the
-model.
+Container layout (`NFB1`, version 4, little-endian): a CRC-protected
+header of what a decoder cannot derive (model id, original extents,
+image channels, threshold, section count, partial fraction, steps,
+per-channel base symbol ranges, section byte lengths; 676 bytes for 3
+channels) followed by the payload sections z0, z1, z2a, z2b.  The
+finest level is coded as two independent streams split at a fixed
+raster position so that a partial-quality stream is a byte prefix;
+truncation drops whole trailing sections and never needs the model.
+The decoder refuses a header whose fields are out of range or disagree
+with the model.
 
 One coder state per stream; many streams may run concurrently over a
 shared immutable model.
@@ -83,7 +84,7 @@ import numpy as np
 
 from .entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from .errors import FormatError, ModelMismatchError, NumericError
-from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
+from .flow import LEVELS, DecoderChain, FlowModel, LatentSet, latent_shapes
 from .quantize import grid_index, round_to_grid
 from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: benchmark trace hook names)
     MAX_SYMBOLS, RAW_MAX, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
@@ -92,51 +93,62 @@ from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: benchmark t
 from .tensor import Tensor, no_grad
 
 BITSTREAM_MAGIC = b"NFB1"
-BITSTREAM_VERSION = 3
+BITSTREAM_VERSION = 4
 P_THRESH_DEFAULT = 0.9
 MAX_PIXELS = 1 << 24  # padded pixels per image, bounding a decode's allocations
 PARTIAL_FRACTION_DEFAULT = 0.5
 
-LEVEL_CODES = {1.0: 10, 2.0: 20, 2.5: 25, 3.0: 30}
-CODE_LEVELS = {v: k for k, v in LEVEL_CODES.items()}
+LEVEL_MASKS = (1.0, 2.0, 2.5, 3.0)  # mask i holds the first i + 1 sections
 
 _SECTION_NAMES = ("z0", "z1", "z2a", "z2b")
 _SECTION_LABELS = {"z0": "z0", "z1": "z1", "z2a": "z2 (partial)", "z2b": "z2"}
-_SECTION_LEVELS = (1.0, 2.0, 2.5, 3.0)  # the level mask from which each section is present
 
 # -- container -----------------------------------------------------------------
 
 
 @dataclass
 class Header:
+    """The fields a decoder cannot derive; the padded extents, latent
+    shapes (base channels among them) and partial count follow."""
+
     model_id: bytes
     orig_h: int
     orig_w: int
-    pad_h: int
-    pad_w: int
     channels: int
     p_thresh: float
     level_mask: float
     partial_frac: float
-    partial_count: int
     spec: QuantSpec
     base_ranges: list[tuple[int, int]]
     section_lengths: dict[str, int]
 
+    @property
+    def padded_size(self) -> tuple[int, int]:
+        """The original extents rounded up to the transform's multiple."""
+        return tuple(n + (-n) % 2 ** LEVELS for n in (self.orig_h, self.orig_w))
 
-def _sections_at(levels: float) -> list[str]:
+    @property
+    def latent_shapes(self) -> LatentSet:
+        return latent_shapes(self.channels, *self.padded_size)
+
+    @property
+    def partial_count(self) -> int:
+        """The z2 elements in section z2a: partial_frac of z2, rounded up."""
+        return math.ceil(self.partial_frac * math.prod(self.latent_shapes.z2))
+
+
+def _sections_at(levels: float) -> tuple[str, ...]:
     """The sections a stream of level mask `levels` holds."""
-    return [name for name, need in zip(_SECTION_NAMES, _SECTION_LEVELS) if levels >= need]
+    return _SECTION_NAMES[: LEVEL_MASKS.index(levels) + 1]
 
 
 def _pack_header(h: Header) -> bytes:
     out = bytearray(BITSTREAM_MAGIC)
     out += struct.pack("<B", BITSTREAM_VERSION)
     out += h.model_id
-    out += struct.pack("<IIIIH", h.orig_h, h.orig_w, h.pad_h, h.pad_w, h.channels)
-    out += struct.pack("<dBdI", h.p_thresh, LEVEL_CODES[h.level_mask],
-                       h.partial_frac, h.partial_count)
-    out += struct.pack("<ddH", h.spec.delta2, h.spec.delta1, len(h.spec.delta0))
+    out += struct.pack("<IIH", h.orig_h, h.orig_w, h.channels)
+    out += struct.pack("<dBd", h.p_thresh, len(_sections_at(h.level_mask)), h.partial_frac)
+    out += struct.pack("<dd", h.spec.delta2, h.spec.delta1)
     out += struct.pack(f"<{len(h.spec.delta0)}d", *h.spec.delta0)
     for k_min, k_max in h.base_ranges:
         out += struct.pack("<hh", k_min, k_max)
@@ -161,47 +173,46 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
     if version != BITSTREAM_VERSION:
         raise FormatError(f"unsupported bitstream version {version}")
     (model_id,), pos = _unpack("<16s", blob, pos)
-    (orig_h, orig_w, pad_h, pad_w, channels), pos = _unpack("<IIIIH", blob, pos)
-    (p_thresh, level_code, partial_frac, partial_count), pos = _unpack("<dBdI", blob, pos)
-    if level_code not in CODE_LEVELS:
-        raise FormatError(f"unknown level mask code {level_code}")
-    (delta2, delta1, n_ch), pos = _unpack("<ddH", blob, pos)
+    (orig_h, orig_w, channels), pos = _unpack("<IIH", blob, pos)
+    (p_thresh, n_sections, partial_frac), pos = _unpack("<dBd", blob, pos)
+    if not 1 <= n_sections <= len(LEVEL_MASKS):
+        raise FormatError(f"section count {n_sections} lies outside 1 to {len(LEVEL_MASKS)}")
+    (delta2, delta1), pos = _unpack("<dd", blob, pos)
+    n_ch = latent_shapes(channels, 0, 0).z0[0]  # z0's channels, whatever the extents
     delta0, pos = _unpack(f"<{n_ch}d", blob, pos)
     flat_ranges, pos = _unpack(f"<{2 * n_ch}h", blob, pos)
-    base_ranges = list(zip(flat_ranges[::2], flat_ranges[1::2]))
     lengths, pos = _unpack(f"<{len(_SECTION_NAMES)}Q", blob, pos)
     (crc,), end = _unpack("<I", blob, pos)
     if zlib.crc32(blob[:pos]) != crc:
         raise FormatError("bitstream header CRC mismatch")
     if not 0.0 < p_thresh <= 1.0:
         raise FormatError(f"threshold {p_thresh!r} lies outside (0, 1]")
+    if not 0.0 <= partial_frac <= 1.0:  # NaN fails too
+        raise FormatError(f"partial fraction {partial_frac!r} lies outside [0, 1]")
     try:
         spec = QuantSpec(delta2, delta1, np.array(delta0))
     except ValueError as exc:
         raise FormatError(f"bad header steps: {exc}") from None
-    multiple = 2 ** LEVELS
-    for axis, orig, pad in (("height", orig_h, pad_h), ("width", orig_w, pad_w)):
+    header = Header(
+        model_id=model_id, orig_h=orig_h, orig_w=orig_w, channels=channels,
+        p_thresh=p_thresh, level_mask=LEVEL_MASKS[n_sections - 1], partial_frac=partial_frac,
+        spec=spec, base_ranges=list(zip(flat_ranges[::2], flat_ranges[1::2])),
+        section_lengths=dict(zip(_SECTION_NAMES, lengths)),
+    )
+    for axis, orig in (("height", orig_h), ("width", orig_w)):
         if orig < 1:
             raise FormatError(f"original {axis} {orig} is not positive")
-        if pad != orig + (-orig) % multiple:
-            raise FormatError(f"padded {axis} {pad} is not original {axis} {orig} "
-                              f"rounded up to a multiple of {multiple}")
+    pad_h, pad_w = header.padded_size
     if pad_h * pad_w > MAX_PIXELS:
         raise FormatError(
             f"padded extents {pad_h}x{pad_w} exceed the {MAX_PIXELS}-pixel limit"
         )
-    for i, (lo, hi) in enumerate(base_ranges):
+    for i, (lo, hi) in enumerate(header.base_ranges):
         if not 1 <= hi - lo + 1 <= MAX_SYMBOLS:
             raise FormatError(
                 f"base channel {i} symbol range [{lo}, {hi}] is empty or wider than "
                 f"{MAX_SYMBOLS} symbols"
             )
-    header = Header(
-        model_id=model_id, orig_h=orig_h, orig_w=orig_w, pad_h=pad_h, pad_w=pad_w,
-        channels=channels, p_thresh=p_thresh, level_mask=CODE_LEVELS[level_code],
-        partial_frac=partial_frac, partial_count=partial_count, spec=spec,
-        base_ranges=base_ranges, section_lengths=dict(zip(_SECTION_NAMES, lengths)),
-    )
     return header, end
 
 
@@ -227,7 +238,7 @@ def inspect_bitstream(blob: bytes) -> dict:
     return {
         "model_id": header.model_id.hex(),
         "original_size": (header.orig_h, header.orig_w),
-        "padded_size": (header.pad_h, header.pad_w),
+        "padded_size": header.padded_size,
         "channels": header.channels,
         "p_thresh": header.p_thresh,
         "levels": header.level_mask,
@@ -423,12 +434,11 @@ def _decode_section(payload: bytes, s: _Section, flat: np.ndarray, context: str)
     flat[s.coded] = (s.center + s.sign * js) * s.step
 
 
-def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
-          ranges: list[tuple[int, int]], z: LatentSet, cut: int, present: list[str],
+def _walk(model: FlowModel, header: Header, z: LatentSet, present: tuple[str, ...],
           code: Callable[[str, _Section, np.ndarray], bytes | None],
           decoding: bool) -> tuple[dict[str, bytes | None], DecoderChain | None]:
     """Walk the sections in stream order, z0 first, up the decoder chain,
-    over the latent arrays of z, which it updates in place.
+    over the latent arrays of z, which it updates in place, as `header` says.
 
     Each section named in `present` goes to code(name, section, flat
     level) once its skipped elements hold their mean symbol; every element
@@ -444,9 +454,10 @@ def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
         # the encoder fails on the same elements, so no stream codes them
         return FormatError(f"section {_SECTION_LABELS[name]}: {step} cannot be coded ({exc})")
 
+    spec, cut = header.spec, header.partial_count
     flat = z.z0.reshape(-1)
     try:
-        section = _base_section(model, model_id, spec, ranges, flat.size)
+        section = _base_section(model, header.model_id, spec, header.base_ranges, flat.size)
     except NumericError as exc:
         raise uncodable("z0", "the base steps", exc) from None
     out = {"z0": code("z0", section, flat)}
@@ -463,7 +474,7 @@ def _walk(model: FlowModel, model_id: bytes, spec: QuantSpec, p_thresh: float,
                 flat[lo:hi] = mean_symbol(mu[lo:hi], delta)
                 continue
             try:
-                section = _conditional_section(mu, sigma, delta, p_thresh, lo, hi, flat)
+                section = _conditional_section(mu, sigma, delta, header.p_thresh, lo, hi, flat)
             except NumericError as exc:
                 raise uncodable(name, f"step {delta!r}", exc) from None
             out[name] = code(name, section, flat)
@@ -484,8 +495,8 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     its grid, entropy-codes the sections named by `levels`, and records
     everything a decoder needs in the container header.
     """
-    if levels not in LEVEL_CODES:
-        raise ValueError(f"levels must be one of {sorted(LEVEL_CODES)}, got {levels}")
+    if levels not in LEVEL_MASKS:
+        raise ValueError(f"levels must be one of {list(LEVEL_MASKS)}, got {levels}")
     if not 0.0 < p_thresh <= 1.0:
         raise ValueError(f"p_thresh must lie in (0, 1], got {p_thresh!r}")
     if not 0.0 <= partial_frac <= 1.0:
@@ -515,44 +526,27 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     z = LatentSet(round_to_grid(zs.z2.data, spec.delta2), round_to_grid(zs.z1.data, spec.delta1),
                   round_to_grid(zs.z0.data, spec.delta0[None, :, None, None]))
 
-    ranges = _base_ranges(z.z0, spec)
-    partial_count = int(np.ceil(partial_frac * z.z2[0].size))
-    model_id = model.model_id
-    sections, _ = _walk(model, model_id, spec, p_thresh, ranges, z, partial_count,
-                        _sections_at(levels),
+    header = Header(
+        model_id=model.model_id, orig_h=orig_h, orig_w=orig_w,
+        channels=model.config.in_channels, p_thresh=p_thresh, level_mask=levels,
+        partial_frac=partial_frac, spec=spec, base_ranges=_base_ranges(z.z0, spec),
+        section_lengths={},
+    )
+    sections, _ = _walk(model, header, z, _sections_at(levels),
                         lambda _, section, flat: _encode_section(section, flat),
                         decoding=False)
-
-    header = Header(
-        model_id=model_id, orig_h=orig_h, orig_w=orig_w,
-        pad_h=padded.shape[1], pad_w=padded.shape[2],
-        channels=model.config.in_channels, p_thresh=p_thresh, level_mask=levels,
-        partial_frac=partial_frac, partial_count=partial_count,
-        spec=spec, base_ranges=ranges,
-        section_lengths={name: len(sections.get(name, b"")) for name in _SECTION_NAMES},
-    )
+    header.section_lengths = {name: len(sections.get(name, b"")) for name in _SECTION_NAMES}
     return _pack_header(header) + b"".join(
         sections.get(name, b"") for name in _SECTION_NAMES
     )
 
 
 def _check_against_model(header: Header, model: FlowModel) -> None:
-    """Header fields whose valid values depend on the model."""
+    """The image channels, from which every other header count follows."""
     if header.channels != model.config.in_channels:
         raise FormatError(
             f"header declares {header.channels} image channels, model has "
             f"{model.config.in_channels}"
-        )
-    # one header count sizes both the base steps and the base symbol ranges
-    if len(header.spec.delta0) != model.base_channels:
-        raise FormatError(
-            f"header declares {len(header.spec.delta0)} base channels, model has "
-            f"{model.base_channels}"
-        )
-    n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w).z2)
-    if header.partial_count > n_z2:
-        raise FormatError(
-            f"partial count {header.partial_count} exceeds the {n_z2} z2 elements"
         )
 
 
@@ -570,21 +564,19 @@ def _decode(model: FlowModel, blob: bytes,
     _check_against_model(header, model)
     if levels is None:
         levels = header.level_mask
-    if levels not in LEVEL_CODES:
-        raise ValueError(f"levels must be one of {sorted(LEVEL_CODES)}, got {levels}")
+    if levels not in LEVEL_MASKS:
+        raise ValueError(f"levels must be one of {list(LEVEL_MASKS)}, got {levels}")
     if levels > header.level_mask:
         raise FormatError(
             f"requested {levels} levels but the stream holds {header.level_mask}"
         )
     sections = _split_sections(blob, header, start)
-    z = LatentSet(*(np.zeros((1,) + shape)
-                    for shape in model.latent_shapes(header.pad_h, header.pad_w)))
+    z = LatentSet(*(np.zeros((1,) + shape) for shape in header.latent_shapes))
 
     def decode(name: str, section: _Section, flat: np.ndarray) -> None:
         _decode_section(sections[name], section, flat, f"section {_SECTION_LABELS[name]}")
 
-    _, chain = _walk(model, header.model_id, header.spec, header.p_thresh, header.base_ranges, z,
-                     header.partial_count, _sections_at(levels), decode, decoding=True)
+    _, chain = _walk(model, header, z, _sections_at(levels), decode, decoding=True)
     return z, header, chain
 
 
@@ -609,8 +601,8 @@ def decode_image(model: FlowModel, blob: bytes, levels: float | None = None) -> 
 
 def truncate_bitstream(blob: bytes, target: float) -> bytes:
     """Drop trailing sections to the target level mask; model-free."""
-    if target not in LEVEL_CODES:
-        raise ValueError(f"target must be one of {sorted(LEVEL_CODES)}, got {target}")
+    if target not in LEVEL_MASKS:
+        raise ValueError(f"target must be one of {list(LEVEL_MASKS)}, got {target}")
     header, start = _parse_header(blob)
     if target > header.level_mask:
         raise FormatError(

@@ -125,6 +125,13 @@ class LatentSet(NamedTuple):
     z0: Any
 
 
+def latent_shapes(channels: int, h: int, w: int) -> LatentSet:
+    """(channels, height, width) of each latent of a `channels`-channel
+    h x w input (the module docstring's bookkeeping), with no model."""
+    return LatentSet((2 * channels, h // 2, w // 2), (4 * channels, h // 4, w // 4),
+                     (16 * channels, h // 8, w // 8))
+
+
 class ResNet:
     """stem conv, `blocks` residual blocks, zero-initialized head conv."""
 
@@ -326,8 +333,7 @@ class FlowModel:
 
     def latent_shapes(self, h: int, w: int) -> LatentSet:
         """(channels, height, width) of each latent for an h x w input."""
-        return LatentSet(*((ch, h // 2 ** (i + 1), w // 2 ** (i + 1))
-                           for i, ch in enumerate(self.latent_channels)))
+        return latent_shapes(self.config.in_channels, h, w)
 
     # -- bijection --------------------------------------------------------------
 

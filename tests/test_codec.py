@@ -1,6 +1,5 @@
 """Codec: round trips, skip agreement, container rules, progressive modes."""
 
-import math
 import re
 import struct
 import sys
@@ -34,7 +33,7 @@ from flowcodec.codec import (
 )
 from flowcodec.entropy import FactorizedPrior, QuantSpec, logistic_bin_prob, mean_symbol
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
-from flowcodec.flow import FlowConfig, FlowLevel, FlowModel, LatentSet
+from flowcodec.flow import FlowConfig, FlowLevel, FlowModel, LatentSet, latent_shapes
 from flowcodec.quantize import round_to_grid
 from flowcodec.rangecoder import TOTAL
 from flowcodec.tensor import Tensor, no_grad
@@ -105,20 +104,27 @@ class TestRoundTrip:
 
     def test_latent_sets_agree_by_name(self, model, image):
         """forward, latent_shapes, QuantSpec and decode_latents name the same
-        latents: each forward field has the shape of the latent_shapes field
-        of its name, and with nothing skipped each decoded field is that
+        latents, for the 3-channel test model and a 1-channel one: each
+        forward field has the shape of the latent_shapes field of its name
+        (the model-free `flow.latent_shapes`, from which the decoder sizes
+        its latents), and with nothing skipped each decoded field is that
         forward field rounded at the step of its name."""
-        spec = QuantSpec(0.5, 2.0, np.linspace(0.25, 1.0, model.base_channels))
-        padded = pad_to_multiple(image, 8)
-        with no_grad():
-            zs, _ = model.forward(Tensor(padded[None]))
-        shapes = model.latent_shapes(padded.shape[1], padded.shape[2])
-        latents, _ = decode_latents(model, encode_image(model, image, spec, p_thresh=1.0))
-        steps = LatentSet(z2=spec.delta2, z1=spec.delta1, z0=spec.delta0[None, :, None, None])
-        for name in LatentSet._fields:
-            z = getattr(zs, name).data
-            assert z.shape == (1,) + getattr(shapes, name)
-            assert np.array_equal(getattr(latents, name), round_to_grid(z, getattr(steps, name)))
+        gray = FlowModel(FlowConfig(in_channels=1, steps=2, blocks=1, hidden=16, seed=12))
+        perturb_model(gray, np.random.default_rng(92), scale=0.01)
+        for m, img in ((model, image), (gray, image[:1])):
+            spec = QuantSpec(0.5, 2.0, np.linspace(0.25, 1.0, m.base_channels))
+            padded = pad_to_multiple(img, 8)
+            with no_grad():
+                zs, _ = m.forward(Tensor(padded[None]))
+            shapes = latent_shapes(m.config.in_channels, padded.shape[1], padded.shape[2])
+            assert m.latent_shapes(padded.shape[1], padded.shape[2]) == shapes
+            latents, _ = decode_latents(m, encode_image(m, img, spec, p_thresh=1.0))
+            steps = LatentSet(z2=spec.delta2, z1=spec.delta1, z0=spec.delta0[None, :, None, None])
+            for name in LatentSet._fields:
+                z = getattr(zs, name).data
+                assert z.shape == (1,) + getattr(shapes, name)
+                assert np.array_equal(getattr(latents, name),
+                                      round_to_grid(z, getattr(steps, name)))
 
     def test_each_level_inverted_once(self, model, image, monkeypatch):
         """The encoder stops after coding z2, and the decoder finishes the
@@ -490,6 +496,26 @@ class TestContainer:
         assert info["p_thresh"] == 0.9
         assert len(info["delta0"]) == model.base_channels
         assert info["total_bytes"] == len(blob)
+        # derived, not stored: the extents rounded up to 8, and half of z2's
+        # 6 x (h/2) x (w/2) elements at the padded extents, rounded up
+        for (h, w), padded, partial in (((1, 1), (8, 8), 48), ((5, 7), (8, 8), 48),
+                                        ((13, 21), (16, 24), 288)):
+            info = inspect_bitstream(encode_image(model, image[:, :h, :w], spec))
+            assert info["original_size"] == (h, w)
+            assert info["padded_size"] == padded
+            assert info["partial_count"] == partial
+
+    def test_header_is_676_bytes(self, model, image):
+        """A 3-channel header is 676 bytes at every level mask (48 base steps
+        and ranges among them), and the sections follow it to the end."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        for levels in C.LEVEL_MASKS:
+            cut = truncate_bitstream(blob, levels)
+            direct = encode_image(model, image, spec_for(model, 1.0), levels=levels)
+            for stream in (cut, direct):
+                sections = inspect_bitstream(stream)["section_bytes"]
+                assert C._parse_header(stream)[1] == 676
+                assert len(stream) == 676 + sum(sections.values())
 
     def test_header_crc_detects_corruption(self, model, image):
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
@@ -530,10 +556,10 @@ class TestContainer:
         are format errors even when the header CRC is recomputed."""
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
         _, start = C._parse_header(bytes(blob))
-        p_thresh_at = 5 + 16 + struct.calcsize("<IIIIH")
-        delta2_at = p_thresh_at + struct.calcsize("<dBdI")
+        p_thresh_at = 5 + 16 + struct.calcsize("<IIH")
+        delta2_at = p_thresh_at + struct.calcsize("<dBd")
         offset = {"p_thresh": p_thresh_at, "delta2": delta2_at, "delta1": delta2_at + 8,
-                  "delta0": delta2_at + struct.calcsize("<ddH")}[field]
+                  "delta0": delta2_at + struct.calcsize("<dd")}[field]
         struct.pack_into("<d", blob, offset, value)
         struct.pack_into("<I", blob, start - 4, zlib.crc32(bytes(blob[: start - 4])))
         with pytest.raises(FormatError):
@@ -565,10 +591,11 @@ class TestContainer:
         with np.errstate(all="ignore"), pytest.raises(FormatError, match="section z0"):
             decode_image(other, C._pack_header(header) + blob[start:])
 
-    def test_version_1_rejected(self, model, image):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_old_versions_rejected(self, model, image, version):
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
-        blob[4] = 1
-        with pytest.raises(FormatError, match="version 1"):
+        blob[4] = version
+        with pytest.raises(FormatError, match=f"version {version}"):
             inspect_bitstream(bytes(blob))
 
     @pytest.mark.parametrize("p_thresh", [0.0, 1.5, float("nan")])
@@ -601,27 +628,25 @@ class TestContainer:
 
     @pytest.mark.parametrize("field,value,match", [
         ("channels", 1, "image channels"),
-        ("base_channels", None, "base channels"),
-        ("pad_h", 32 + 3, "padded height"),
-        ("pad_w", 0, "padded width"),
         ("orig_h", 0, "original height"),
-        ("orig_w", 33, "original width"),
-        ("partial_count", None, "partial count"),
+        ("orig_w", 0, "original width"),
+        ("partial_frac", float("nan"), "partial fraction"),
+        ("partial_frac", 1.5, "partial fraction"),
         ("base_ranges", "reversed", "symbol range"),
         ("base_ranges", "too wide", "symbol range"),
     ])
     def test_header_fields_checked(self, model, image, field, value, match):
-        """Header fields that disagree with the model or with each other are
-        format errors even when the header CRC is recomputed."""
+        """Header fields that are out of range or disagree with the model are
+        format errors even when the header CRC is recomputed.  A width of 0
+        is out of range; any positive width is a legal extent, since the
+        padded extents follow from the original ones."""
         blob = encode_image(model, image, spec_for(model, 1.0))
         header, start = C._parse_header(blob)
-        if field == "base_channels":  # drop the last channel's step and range
+        if field == "channels":  # a consistent 1-channel header: 16 base steps and ranges
             spec = header.spec
-            header = replace(header, spec=QuantSpec(spec.delta2, spec.delta1, spec.delta0[:-1]),
-                             base_ranges=header.base_ranges[:-1])
-        elif field == "partial_count":  # one past the z2 element count
-            n_z2 = math.prod(model.latent_shapes(header.pad_h, header.pad_w).z2)
-            header = replace(header, partial_count=n_z2 + 1)
+            header = replace(header, channels=1,
+                             spec=QuantSpec(spec.delta2, spec.delta1, spec.delta0[:16]),
+                             base_ranges=header.base_ranges[:16])
         elif field == "base_ranges":  # first channel's range reversed or widest
             lo, hi = header.base_ranges[0]
             first = (hi + 1, lo) if value == "reversed" else (-32768, 32767)
@@ -636,13 +661,12 @@ class TestContainer:
             inspect_bitstream(b"JUNKJUNKJUNKJUNK" * 8)
 
     def test_pixel_limit(self, model, image, monkeypatch):
-        """A header of 2^16 x 2^16 padded pixels (CRC recomputed) is refused
+        """A header of 2^16 x 2^16 original pixels (CRC recomputed) is refused
         before any latent is allocated, and the encoder refuses to write a
         stream past the limit."""
         blob = encode_image(model, image, spec_for(model, 1.0))
         header, start = C._parse_header(blob)
-        big = C._pack_header(replace(header, orig_h=1 << 16, orig_w=1 << 16,
-                                     pad_h=1 << 16, pad_w=1 << 16)) + blob[start:]
+        big = C._pack_header(replace(header, orig_h=1 << 16, orig_w=1 << 16)) + blob[start:]
         with pytest.raises(FormatError, match="pixel limit"):
             inspect_bitstream(big)
         with pytest.raises(FormatError, match="pixel limit"):

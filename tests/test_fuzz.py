@@ -103,23 +103,29 @@ class TestBitstream:
         assert not decodes_or_refuses(edited)
 
     def test_padded_extents_must_match_the_originals(self):
-        """A 695-byte level-1 stream that declares 16x16 originals with
-        256x256 padded extents, every base range of width 1 and an all-zero
-        z0 section is refused by every reader, not decoded at 256x256."""
+        """The padded extents follow from the original ones: a 256x256
+        image's all-zero z0 section, every base range of width 1, behind a
+        level-1 header that declares 16x16 originals is read as a 16x16
+        stream, never decoded at 256x256.  Under width-1 ranges the section
+        codes to the same 5 bytes as a 16x16 image's, so the stream is a
+        valid 16x16 one."""
         m = model()
         header, _ = C._parse_header(stream())
         ranges = [(0, 0)] * m.base_channels
-        n = math.prod(m.latent_shapes(256, 256).z0)
-        z0 = C._encode_section(C._base_section(m, m.model_id, header.spec, ranges, n),
-                               np.zeros(n))
-        header = replace(header, level_mask=1.0, pad_h=256, pad_w=256, base_ranges=ranges,
+
+        def zero_section(size: int) -> bytes:
+            n = math.prod(m.latent_shapes(size, size).z0)
+            return C._encode_section(C._base_section(m, m.model_id, header.spec, ranges, n),
+                                     np.zeros(n))
+
+        z0 = zero_section(256)
+        header = replace(header, level_mask=1.0, base_ranges=ranges,
                          section_lengths=dict.fromkeys(C._SECTION_NAMES, 0) | {"z0": len(z0)})
         blob = C._pack_header(header) + z0
-        assert len(blob) == 695
-        for read in (functools.partial(decode_image, m), C.inspect_bitstream,
-                     functools.partial(C.truncate_bitstream, target=1.0)):
-            with pytest.raises(FormatError, match="padded height 256 .* original height 16"):
-                read(blob)
+        assert (header.orig_h, header.orig_w) == (16, 16)
+        assert C.inspect_bitstream(blob)["padded_size"] == (16, 16)
+        assert z0 == zero_section(16)
+        assert decode_image(m, blob).shape == (3, 16, 16)
 
     @FUZZ
     @given(st.lists(st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
@@ -152,11 +158,10 @@ class TestBitstream:
         """Random values in every numeric header field, CRC recomputed."""
         blob = stream()
         header, _ = C._parse_header(blob)
-        field = data.draw(st.sampled_from(["orig_h", "orig_w", "pad_h", "pad_w", "channels",
-                                           "p_thresh", "partial_frac", "partial_count",
-                                           "level_mask"]))
+        field = data.draw(st.sampled_from(["orig_h", "orig_w", "channels", "p_thresh",
+                                           "partial_frac", "level_mask"]))
         if field == "level_mask":
-            value = data.draw(st.sampled_from(sorted(C.LEVEL_CODES)))
+            value = data.draw(st.sampled_from(C.LEVEL_MASKS))
         elif field in ("p_thresh", "partial_frac"):
             value = data.draw(st.floats(allow_nan=True, allow_infinity=True))
         else:
