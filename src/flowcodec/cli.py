@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .codec import (
-    LEVEL_MASKS,
     P_THRESH_DEFAULT,
     decode_image,
     encode_image,
@@ -66,12 +65,9 @@ def _load_deltas(arg: str, model: FlowModel) -> QuantSpec:
 
 def _parse_levels(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise CliError(f"invalid level {text!r}", EXIT_USAGE) from None
-    if value not in LEVEL_MASKS:
-        raise CliError("levels must be 1, 2, 2.5 or 3", EXIT_USAGE)
-    return value
 
 
 def _corpus_images(directory: str) -> list[np.ndarray]:

@@ -56,16 +56,17 @@ random (lo, width) draws, so a decoder's tables would depend on its
 cache history.  One `build_freq_tables` call then quantizes every
 channel's slice.
 
-Container layout (`NFB1`, version 4, little-endian): a CRC-protected
-header of what a decoder cannot derive (model id, original extents,
-image channels, threshold, section count, partial fraction, steps,
-per-channel base symbol ranges, section byte lengths; 676 bytes for 3
-channels) followed by the payload sections z0, z1, z2a, z2b.  The
-finest level is coded as two independent streams split at a fixed
-raster position so that a partial-quality stream is a byte prefix;
-truncation drops whole trailing sections and never needs the model.
-The decoder refuses a header whose fields are out of range or disagree
-with the model.
+Container layout (`NFB1`, version 5, little-endian): a CRC-protected
+header of what a decoder cannot derive, declared once as the fixed
+fields of `_HEADER` (model id, original extents, image channels,
+threshold, section count, delta2, delta1) and the `_header_tail` of its
+base-channel count (delta0, per-channel base symbol ranges, u32 section
+byte lengths); 652 bytes for 3 channels.  The payload sections z0, z1,
+z2a, z2b follow.  The finest level is coded as two independent streams
+split at a fixed raster position, the first `PARTIAL_FRACTION` of z2,
+so that a partial-quality stream is a byte prefix; truncation drops
+whole trailing sections and never needs the model.  The decoder refuses
+a header whose fields are out of range or disagree with the model.
 
 One coder state per stream; many streams may run concurrently over a
 shared immutable model.
@@ -93,10 +94,10 @@ from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: benchmark t
 from .tensor import Tensor, no_grad
 
 BITSTREAM_MAGIC = b"NFB1"
-BITSTREAM_VERSION = 4
+BITSTREAM_VERSION = 5
 P_THRESH_DEFAULT = 0.9
 MAX_PIXELS = 1 << 24  # padded pixels per image, bounding a decode's allocations
-PARTIAL_FRACTION_DEFAULT = 0.5
+PARTIAL_FRACTION = 0.5  # of z2's elements, rounded up, go to section z2a
 
 LEVEL_MASKS = (1.0, 2.0, 2.5, 3.0)  # mask i holds the first i + 1 sections
 
@@ -117,7 +118,6 @@ class Header:
     channels: int
     p_thresh: float
     level_mask: float
-    partial_frac: float
     spec: QuantSpec
     base_ranges: list[tuple[int, int]]
     section_lengths: dict[str, int]
@@ -133,71 +133,74 @@ class Header:
 
     @property
     def partial_count(self) -> int:
-        """The z2 elements in section z2a: partial_frac of z2, rounded up."""
-        return math.ceil(self.partial_frac * math.prod(self.latent_shapes.z2))
+        """The z2 elements in section z2a: PARTIAL_FRACTION of z2, rounded up."""
+        return math.ceil(PARTIAL_FRACTION * math.prod(self.latent_shapes.z2))
 
 
 def _sections_at(levels: float) -> tuple[str, ...]:
-    """The sections a stream of level mask `levels` holds."""
+    """The sections a stream of level mask `levels` holds; the one check
+    of a requested level mask."""
+    if levels not in LEVEL_MASKS:
+        raise ValueError(f"levels must be one of {list(LEVEL_MASKS)}, got {levels}")
     return _SECTION_NAMES[: LEVEL_MASKS.index(levels) + 1]
 
 
+# The fixed fields: magic, version, model id, original extents, image
+# channels, threshold, section count, delta2, delta1.
+_HEADER = struct.Struct("<4sB16sIIHdBdd")
+_CRC = struct.Struct("<I")
+
+
+def _header_tail(n_ch: int) -> struct.Struct:
+    """The fields after the fixed ones in a header of `n_ch` base
+    channels: delta0, the symbol range of every base channel, then the
+    section lengths."""
+    return struct.Struct(f"<{n_ch}d{2 * n_ch}h{len(_SECTION_NAMES)}I")
+
+
 def _pack_header(h: Header) -> bytes:
-    out = bytearray(BITSTREAM_MAGIC)
-    out += struct.pack("<B", BITSTREAM_VERSION)
-    out += h.model_id
-    out += struct.pack("<IIH", h.orig_h, h.orig_w, h.channels)
-    out += struct.pack("<dBd", h.p_thresh, len(_sections_at(h.level_mask)), h.partial_frac)
-    out += struct.pack("<dd", h.spec.delta2, h.spec.delta1)
-    out += struct.pack(f"<{len(h.spec.delta0)}d", *h.spec.delta0)
-    for k_min, k_max in h.base_ranges:
-        out += struct.pack("<hh", k_min, k_max)
-    for name in _SECTION_NAMES:
-        out += struct.pack("<Q", h.section_lengths.get(name, 0))
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
-
-
-def _unpack(fmt: str, blob: bytes, pos: int) -> tuple[tuple, int]:
-    try:
-        fields = struct.unpack_from(fmt, blob, pos)
-    except struct.error:
-        raise FormatError("bitstream truncated inside the header") from None
-    return fields, pos + struct.calcsize(fmt)
+    out = _HEADER.pack(BITSTREAM_MAGIC, BITSTREAM_VERSION, h.model_id, h.orig_h, h.orig_w,
+                       h.channels, h.p_thresh, len(_sections_at(h.level_mask)),
+                       h.spec.delta2, h.spec.delta1)
+    out += _header_tail(len(h.spec.delta0)).pack(
+        *h.spec.delta0, *(k for lo_hi in h.base_ranges for k in lo_hi),
+        *(h.section_lengths.get(name, 0) for name in _SECTION_NAMES))
+    return out + _CRC.pack(zlib.crc32(out))
 
 
 def _parse_header(blob: bytes) -> tuple[Header, int]:
     if blob[:4] != BITSTREAM_MAGIC:
         raise FormatError(f"bad bitstream magic {blob[:4]!r}")
-    (version,), pos = _unpack("<B", blob, 4)
-    if version != BITSTREAM_VERSION:
-        raise FormatError(f"unsupported bitstream version {version}")
-    (model_id,), pos = _unpack("<16s", blob, pos)
-    (orig_h, orig_w, channels), pos = _unpack("<IIH", blob, pos)
-    (p_thresh, n_sections, partial_frac), pos = _unpack("<dBd", blob, pos)
-    if not 1 <= n_sections <= len(LEVEL_MASKS):
-        raise FormatError(f"section count {n_sections} lies outside 1 to {len(LEVEL_MASKS)}")
-    (delta2, delta1), pos = _unpack("<dd", blob, pos)
-    n_ch = latent_shapes(channels, 0, 0).z0[0]  # z0's channels, whatever the extents
-    delta0, pos = _unpack(f"<{n_ch}d", blob, pos)
-    flat_ranges, pos = _unpack(f"<{2 * n_ch}h", blob, pos)
-    lengths, pos = _unpack(f"<{len(_SECTION_NAMES)}Q", blob, pos)
-    (crc,), end = _unpack("<I", blob, pos)
+    if len(blob) > 4 and blob[4] != BITSTREAM_VERSION:
+        raise FormatError(f"unsupported bitstream version {blob[4]}")
+    try:
+        (_, _, model_id, orig_h, orig_w, channels, p_thresh, n_sections,
+         delta2, delta1) = _HEADER.unpack_from(blob)
+        n_ch = latent_shapes(channels, 0, 0).z0[0]  # z0's channels, whatever the extents
+        tail = _header_tail(n_ch)
+        fields = tail.unpack_from(blob, _HEADER.size)
+        pos = _HEADER.size + tail.size
+        (crc,) = _CRC.unpack_from(blob, pos)
+    except struct.error:
+        raise FormatError("bitstream truncated inside the header") from None
     if zlib.crc32(blob[:pos]) != crc:
         raise FormatError("bitstream header CRC mismatch")
+    if channels < 1:
+        raise FormatError(f"header declares {channels} image channels, fewer than 1")
+    if not 1 <= n_sections <= len(LEVEL_MASKS):
+        raise FormatError(f"section count {n_sections} lies outside 1 to {len(LEVEL_MASKS)}")
     if not 0.0 < p_thresh <= 1.0:
         raise FormatError(f"threshold {p_thresh!r} lies outside (0, 1]")
-    if not 0.0 <= partial_frac <= 1.0:  # NaN fails too
-        raise FormatError(f"partial fraction {partial_frac!r} lies outside [0, 1]")
+    delta0, flat_ranges = fields[:n_ch], fields[n_ch : 3 * n_ch]
     try:
         spec = QuantSpec(delta2, delta1, np.array(delta0))
     except ValueError as exc:
         raise FormatError(f"bad header steps: {exc}") from None
     header = Header(
         model_id=model_id, orig_h=orig_h, orig_w=orig_w, channels=channels,
-        p_thresh=p_thresh, level_mask=LEVEL_MASKS[n_sections - 1], partial_frac=partial_frac,
-        spec=spec, base_ranges=list(zip(flat_ranges[::2], flat_ranges[1::2])),
-        section_lengths=dict(zip(_SECTION_NAMES, lengths)),
+        p_thresh=p_thresh, level_mask=LEVEL_MASKS[n_sections - 1], spec=spec,
+        base_ranges=list(zip(flat_ranges[::2], flat_ranges[1::2])),
+        section_lengths=dict(zip(_SECTION_NAMES, fields[3 * n_ch :])),
     )
     for axis, orig in (("height", orig_h), ("width", orig_w)):
         if orig < 1:
@@ -213,7 +216,7 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
                 f"base channel {i} symbol range [{lo}, {hi}] is empty or wider than "
                 f"{MAX_SYMBOLS} symbols"
             )
-    return header, end
+    return header, pos + _CRC.size
 
 
 def _split_sections(blob: bytes, header: Header, start: int) -> dict[str, bytes]:
@@ -242,7 +245,7 @@ def inspect_bitstream(blob: bytes) -> dict:
         "channels": header.channels,
         "p_thresh": header.p_thresh,
         "levels": header.level_mask,
-        "partial_fraction": header.partial_frac,
+        "partial_fraction": PARTIAL_FRACTION,
         "partial_count": header.partial_count,
         "delta2": header.spec.delta2,
         "delta1": header.spec.delta1,
@@ -486,8 +489,7 @@ def _walk(model: FlowModel, header: Header, z: LatentSet, present: tuple[str, ..
 
 @no_grad()
 def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
-                 levels: float = 3.0, p_thresh: float = P_THRESH_DEFAULT,
-                 partial_frac: float = PARTIAL_FRACTION_DEFAULT) -> bytes:
+                 levels: float = 3.0, p_thresh: float = P_THRESH_DEFAULT) -> bytes:
     """Compress a finite (C,H,W) image, nominally in [0, 255], into a
     bitstream.
 
@@ -495,12 +497,9 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     its grid, entropy-codes the sections named by `levels`, and records
     everything a decoder needs in the container header.
     """
-    if levels not in LEVEL_MASKS:
-        raise ValueError(f"levels must be one of {list(LEVEL_MASKS)}, got {levels}")
+    present = _sections_at(levels)
     if not 0.0 < p_thresh <= 1.0:
         raise ValueError(f"p_thresh must lie in (0, 1], got {p_thresh!r}")
-    if not 0.0 <= partial_frac <= 1.0:
-        raise ValueError(f"partial_frac must lie in [0, 1], got {partial_frac!r}")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != model.config.in_channels:
         raise ModelMismatchError(
@@ -529,10 +528,9 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     header = Header(
         model_id=model.model_id, orig_h=orig_h, orig_w=orig_w,
         channels=model.config.in_channels, p_thresh=p_thresh, level_mask=levels,
-        partial_frac=partial_frac, spec=spec, base_ranges=_base_ranges(z.z0, spec),
-        section_lengths={},
+        spec=spec, base_ranges=_base_ranges(z.z0, spec), section_lengths={},
     )
-    sections, _ = _walk(model, header, z, _sections_at(levels),
+    sections, _ = _walk(model, header, z, present,
                         lambda _, section, flat: _encode_section(section, flat),
                         decoding=False)
     header.section_lengths = {name: len(sections.get(name, b"")) for name in _SECTION_NAMES}
@@ -555,6 +553,8 @@ def _decode(model: FlowModel, blob: bytes,
             levels: float | None) -> tuple[LatentSet, Header, DecoderChain]:
     """Entropy-decode the latents up the decoder chain; the returned chain
     has inverted every level but the finest, which finishes the image."""
+    if levels is not None:
+        _sections_at(levels)  # a bad request is refused before the stream is read
     header, start = _parse_header(blob)
     if header.model_id != model.model_id:
         raise ModelMismatchError(
@@ -564,8 +564,6 @@ def _decode(model: FlowModel, blob: bytes,
     _check_against_model(header, model)
     if levels is None:
         levels = header.level_mask
-    if levels not in LEVEL_MASKS:
-        raise ValueError(f"levels must be one of {list(LEVEL_MASKS)}, got {levels}")
     if levels > header.level_mask:
         raise FormatError(
             f"requested {levels} levels but the stream holds {header.level_mask}"
@@ -601,15 +599,13 @@ def decode_image(model: FlowModel, blob: bytes, levels: float | None = None) -> 
 
 def truncate_bitstream(blob: bytes, target: float) -> bytes:
     """Drop trailing sections to the target level mask; model-free."""
-    if target not in LEVEL_MASKS:
-        raise ValueError(f"target must be one of {list(LEVEL_MASKS)}, got {target}")
+    keep = _sections_at(target)
     header, start = _parse_header(blob)
     if target > header.level_mask:
         raise FormatError(
             f"cannot truncate to {target} levels: stream holds {header.level_mask}"
         )
     sections = _split_sections(blob, header, start)
-    keep = _sections_at(target)
     new_header = replace(header, level_mask=target, section_lengths={
         name: (header.section_lengths[name] if name in keep else 0)
         for name in _SECTION_NAMES

@@ -331,10 +331,6 @@ class FlowModel:
                 "pad before the transform"
             )
 
-    def latent_shapes(self, h: int, w: int) -> LatentSet:
-        """(channels, height, width) of each latent for an h x w input."""
-        return latent_shapes(self.config.in_channels, h, w)
-
     # -- bijection --------------------------------------------------------------
 
     def forward(self, x: Tensor) -> tuple[LatentSet, list[Tensor]]:

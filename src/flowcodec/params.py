@@ -40,9 +40,6 @@ class ParamStore:
         self._params[name] = tensor
         return tensor
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
 

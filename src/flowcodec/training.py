@@ -40,6 +40,7 @@ from .tensor import Tensor, no_grad
 
 PSNR_CAP_DB = 99.0
 NLL_EVERY = 10  # after warm-up, train() evaluates nll on steps divisible by this
+TUNING_LR = 0.1  # Adam's learning rate in finetune_deltas, halved once on divergence
 
 
 @dataclass
@@ -62,10 +63,19 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lambda_rd < 0 or self.lr <= 0 or self.delta_train <= 0:
-            raise ValueError("lambda_rd must be >= 0; lr and delta_train > 0")
-        if self.batch_size < 1 or self.steps < 0 or self.patch < 8:
-            raise ValueError("batch_size >= 1, steps >= 0, patch >= 8 required")
+        """Refuse values that crash or corrupt training; NaN fails every
+        comparison."""
+        for name in ("lr", "eps", "delta_train", "pixel_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("lambda_rd", "dequant_amplitude"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if self.batch_size < 1 or self.steps < 0 or self.warmup_steps < 0 or self.patch < 8:
+            raise ValueError("batch_size >= 1, steps >= 0, warmup_steps >= 0, patch >= 8 required")
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
@@ -351,7 +361,7 @@ def train(model: FlowModel, corpus: list[np.ndarray], cfg: TrainConfig,
 
 
 def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
-                    steps: int = 120, lr: float = 1e-1) -> QuantSpec:
+                    steps: int = 120) -> QuantSpec:
     """Tune the step set of a trained model for one rate weight.
 
     Tuning works on a frozen copy of the model, with every parameter off
@@ -362,8 +372,8 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
     On divergence the learning rate is halved once; a second failure
     aborts.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < np.inf:  # NaN fails too
+        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_corpus(model, images)
@@ -404,9 +414,9 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
         d2, d1, d0 = (np.exp(p.data) for p in log_steps)
         return QuantSpec(float(d2), float(d1), d0)
 
-    result = attempt(lr)
+    result = attempt(TUNING_LR)
     if result is None:
-        result = attempt(lr / 2.0)
+        result = attempt(TUNING_LR / 2.0)
     if result is None:
         raise NumericError("step tuning diverged even after halving the learning rate")
     return result

@@ -182,6 +182,7 @@ class TestInspectTruncate:
         assert run("inspect", "--bitstream", bs) == 0
         text = capsys.readouterr().out
         assert "levels: 3.0" in text
+        assert "partial_fraction: 0.5" in text
         for name in ("z0", "z1", "z2a", "z2b"):
             assert f"section {name}:" in text
 
@@ -236,6 +237,22 @@ class TestInspectTruncate:
             "--deltas", "1.0", "--levels", "2", "--out", bs)
         assert run("truncate", "--bitstream", bs, "--levels", "3",
                    "--out", tmp_path / "никогда.nfb") == 3
+
+    def test_level_outside_the_masks_exit_2(self, quick_model_path, test_card, tmp_path,
+                                             capsys):
+        """encode, decode and truncate refuse a level mask outside 1, 2, 2.5
+        and 3 with the codec's one message, and write nothing."""
+        bs, out = tmp_path / "c.nfb", tmp_path / "out"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        capsys.readouterr()
+        for argv in (("encode", "--model", quick_model_path, "--input", test_card,
+                      "--deltas", "1.0", "--levels", "1.5"),
+                     ("decode", "--model", quick_model_path, "--bitstream", bs, "--levels", "4"),
+                     ("truncate", "--bitstream", bs, "--levels", "0")):
+            assert run(*argv, "--out", out) == 2
+            assert "levels must be one of [1.0, 2.0, 2.5, 3.0]" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestTrain:
@@ -294,6 +311,16 @@ class TestTrain:
         empty.mkdir()
         assert run("train", "--corpus", empty, "--out", tmp_path / "m.nfc",
                    "--steps", 1) == 2
+
+    def test_config_that_breaks_the_optimizer_exit_2(self, corpus_dir, tmp_path):
+        """beta1 = 1 divides by zero in the first AdaMax step; it is refused
+        before the metrics file opens, and no model is written."""
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("beta1=1\nsteps=2\nbatch_size=2\npatch=16\n")
+        out, metrics = tmp_path / "m.nfc", tmp_path / "metrics.csv"
+        assert run("train", "--corpus", corpus_dir, "--out", out, "--config", cfg,
+                   "--hidden", 8, "--metrics", metrics) == 2
+        assert not out.exists() and not metrics.exists()
 
 
 class TestFinetuneAndSweep:

@@ -105,10 +105,10 @@ class TestRoundTrip:
     def test_latent_sets_agree_by_name(self, model, image):
         """forward, latent_shapes, QuantSpec and decode_latents name the same
         latents, for the 3-channel test model and a 1-channel one: each
-        forward field has the shape of the latent_shapes field of its name
-        (the model-free `flow.latent_shapes`, from which the decoder sizes
-        its latents), and with nothing skipped each decoded field is that
-        forward field rounded at the step of its name."""
+        forward field has the shape of the `flow.latent_shapes` field of its
+        name (from which the decoder sizes its latents), and with nothing
+        skipped each decoded field is that forward field rounded at the
+        step of its name."""
         gray = FlowModel(FlowConfig(in_channels=1, steps=2, blocks=1, hidden=16, seed=12))
         perturb_model(gray, np.random.default_rng(92), scale=0.01)
         for m, img in ((model, image), (gray, image[:1])):
@@ -117,7 +117,6 @@ class TestRoundTrip:
             with no_grad():
                 zs, _ = m.forward(Tensor(padded[None]))
             shapes = latent_shapes(m.config.in_channels, padded.shape[1], padded.shape[2])
-            assert m.latent_shapes(padded.shape[1], padded.shape[2]) == shapes
             latents, _ = decode_latents(m, encode_image(m, img, spec, p_thresh=1.0))
             steps = LatentSet(z2=spec.delta2, z1=spec.delta1, z0=spec.delta0[None, :, None, None])
             for name in LatentSet._fields:
@@ -505,8 +504,8 @@ class TestContainer:
             assert info["padded_size"] == padded
             assert info["partial_count"] == partial
 
-    def test_header_is_676_bytes(self, model, image):
-        """A 3-channel header is 676 bytes at every level mask (48 base steps
+    def test_header_is_652_bytes(self, model, image):
+        """A 3-channel header is 652 bytes at every level mask (48 base steps
         and ranges among them), and the sections follow it to the end."""
         blob = encode_image(model, image, spec_for(model, 1.0))
         for levels in C.LEVEL_MASKS:
@@ -514,8 +513,8 @@ class TestContainer:
             direct = encode_image(model, image, spec_for(model, 1.0), levels=levels)
             for stream in (cut, direct):
                 sections = inspect_bitstream(stream)["section_bytes"]
-                assert C._parse_header(stream)[1] == 676
-                assert len(stream) == 676 + sum(sections.values())
+                assert C._parse_header(stream)[1] == 652
+                assert len(stream) == 652 + sum(sections.values())
 
     def test_header_crc_detects_corruption(self, model, image):
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
@@ -556,10 +555,10 @@ class TestContainer:
         are format errors even when the header CRC is recomputed."""
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
         _, start = C._parse_header(bytes(blob))
-        p_thresh_at = 5 + 16 + struct.calcsize("<IIH")
-        delta2_at = p_thresh_at + struct.calcsize("<dBd")
+        p_thresh_at = struct.calcsize("<4sB16sIIH")
+        delta2_at = p_thresh_at + struct.calcsize("<dB")
         offset = {"p_thresh": p_thresh_at, "delta2": delta2_at, "delta1": delta2_at + 8,
-                  "delta0": delta2_at + struct.calcsize("<dd")}[field]
+                  "delta0": C._HEADER.size}[field]
         struct.pack_into("<d", blob, offset, value)
         struct.pack_into("<I", blob, start - 4, zlib.crc32(bytes(blob[: start - 4])))
         with pytest.raises(FormatError):
@@ -591,24 +590,56 @@ class TestContainer:
         with np.errstate(all="ignore"), pytest.raises(FormatError, match="section z0"):
             decode_image(other, C._pack_header(header) + blob[start:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_versions_rejected(self, model, image, version):
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
         blob[4] = version
         with pytest.raises(FormatError, match=f"version {version}"):
             inspect_bitstream(bytes(blob))
+        with pytest.raises(FormatError, match=f"version {version}"):
+            truncate_bitstream(bytes(blob), 1.0)
+        with pytest.raises(FormatError, match=f"version {version}"):
+            decode_image(model, bytes(blob))
+
+    def test_zero_image_channels_rejected(self, model, image):
+        """A CRC-valid header of 0 image channels, so no base steps and no
+        base ranges, is refused by the model-free tools as well as the
+        decoder."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        spec = header.spec
+        empty = C._pack_header(replace(header, channels=0, base_ranges=[],
+                                       spec=QuantSpec(spec.delta2, spec.delta1, [])))
+        assert len(empty) == C._HEADER.size + struct.calcsize("<4I") + 4
+        for read in (inspect_bitstream, lambda b: truncate_bitstream(b, 1.0),
+                     lambda b: decode_image(model, b)):
+            with pytest.raises(FormatError, match="0 image channels"):
+                read(empty + blob[start:])
+
+    @pytest.mark.parametrize("levels", [0.0, 1.5, 4.0, float("nan")])
+    def test_bad_level_mask_rejected(self, model, image, levels, monkeypatch):
+        """Every entry point refuses a level mask outside LEVEL_MASKS with
+        one message, before it reads the stream or runs the transform."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        message = re.escape(f"levels must be one of {list(C.LEVEL_MASKS)}, got {levels}")
+        with pytest.raises(ValueError, match=message):
+            truncate_bitstream(b"", levels)
+        with pytest.raises(ValueError, match=message):
+            decode_image(model, b"", levels)
+        with pytest.raises(ValueError, match=message):
+            decode_latents(model, blob, levels)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran before the level check")
+
+        monkeypatch.setattr(model, "forward", no_forward)
+        with pytest.raises(ValueError, match=message):
+            encode_image(model, image, spec_for(model, 1.0), levels=levels)
 
     @pytest.mark.parametrize("p_thresh", [0.0, 1.5, float("nan")])
     def test_encoder_rejects_bad_threshold(self, model, image, p_thresh):
         with pytest.raises(ValueError, match="p_thresh"):
             encode_image(model, image, spec_for(model, 1.0), p_thresh=p_thresh)
-
-    @pytest.mark.parametrize("partial_frac", [-0.5, 1.5, float("nan")])
-    def test_encoder_rejects_bad_partial_fraction(self, model, image, partial_frac):
-        """A fraction above 1 would declare more partial elements than z2
-        holds, which the decoder refuses."""
-        with pytest.raises(ValueError, match="partial_frac"):
-            encode_image(model, image, spec_for(model, 1.0), partial_frac=partial_frac)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_encoder_rejects_non_finite_image(self, model, image, value):
@@ -630,8 +661,6 @@ class TestContainer:
         ("channels", 1, "image channels"),
         ("orig_h", 0, "original height"),
         ("orig_w", 0, "original width"),
-        ("partial_frac", float("nan"), "partial fraction"),
-        ("partial_frac", 1.5, "partial fraction"),
         ("base_ranges", "reversed", "symbol range"),
         ("base_ranges", "too wide", "symbol range"),
     ])

@@ -11,7 +11,9 @@ from helpers import perturb_model
 
 import flowcodec.tensor as T
 from flowcodec.errors import FormatError
-from flowcodec.flow import AdditiveCoupling, DecoderChain, FlowConfig, FlowModel, LatentSet
+from flowcodec.flow import (
+    AdditiveCoupling, DecoderChain, FlowConfig, FlowModel, LatentSet, latent_shapes,
+)
 from flowcodec.params import ParamStore
 from flowcodec.tensor import Tensor
 from flowcodec.training import AdaMax
@@ -32,7 +34,7 @@ def model():
 class TestChannelBookkeeping:
     def test_latent_shapes_for_24px_rgb(self):
         m = desk_model()
-        shapes = m.latent_shapes(24, 24)
+        shapes = latent_shapes(m.config.in_channels, 24, 24)
         assert shapes == LatentSet(z2=(6, 12, 12), z1=(12, 6, 6), z0=(48, 3, 3))
 
     def test_forward_shapes_match(self, model):
@@ -131,7 +133,7 @@ class TestBijectivity:
 
     def test_zero_latents_zero_image(self):
         m = desk_model()
-        shapes = m.latent_shapes(16, 16)
+        shapes = latent_shapes(m.config.in_channels, 16, 16)
         zs = [Tensor(np.zeros((1,) + s)) for s in shapes]
         assert np.array_equal(m.inverse(zs).data, np.zeros((1, 3, 16, 16)))
 
@@ -197,14 +199,14 @@ class TestReconstructFeatures:
 
     def test_bit_identical_across_calls(self, model):
         zs = [np.random.default_rng(87).normal(size=(1,) + s)
-              for s in model.latent_shapes(16, 16)]
+              for s in latent_shapes(model.config.in_channels, 16, 16)]
         a = DecoderChain.start(model, zs[2]).invert(zs[1]).features.data
         b = DecoderChain.start(model, zs[2]).invert(zs[1]).features.data
         assert np.array_equal(a, b)
 
     def test_sensitive_to_base_latent_change(self, model):
         zs = [np.random.default_rng(88).normal(size=(1,) + s)
-              for s in model.latent_shapes(16, 16)]
+              for s in latent_shapes(model.config.in_channels, 16, 16)]
         h1 = DecoderChain.start(model, zs[2]).features.data
         zs[2] = zs[2].copy()
         zs[2][0, 0, 0, 0] += 1.0
@@ -213,7 +215,8 @@ class TestReconstructFeatures:
 
     def test_branches_from_one_chain_equal_fresh_chains(self, model):
         rng = np.random.default_rng(89)
-        z2, z1, z0 = (rng.normal(size=(1,) + s) for s in model.latent_shapes(16, 16))
+        shapes = latent_shapes(model.config.in_channels, 16, 16)
+        z2, z1, z0 = (rng.normal(size=(1,) + s) for s in shapes)
         z1b, z2b = z1 + 0.5, z2 - 0.5
         base = DecoderChain.start(model, z0)
         level, features = base.level, base.features.data.copy()
@@ -228,7 +231,8 @@ class TestReconstructFeatures:
 
     def test_inverse_is_the_chain_walk(self, model):
         rng = np.random.default_rng(90)
-        zs = LatentSet(*(rng.normal(size=(1,) + s) for s in model.latent_shapes(16, 16)))
+        shapes = latent_shapes(model.config.in_channels, 16, 16)
+        zs = LatentSet(*(rng.normal(size=(1,) + s) for s in shapes))
         walked = DecoderChain.start(model, zs.z0).invert(zs.z1).invert(zs.z2).features.data
         assert np.array_equal(model.inverse(zs).data, walked)
         assert np.array_equal(model.inverse(list(zs)).data, walked)
@@ -243,8 +247,9 @@ class TestModelFile:
         again = FlowModel.load(path)
         assert again.to_bytes() == model.to_bytes()
         assert again.model_id == model.model_id
+        loaded = dict(again.params.items())
         for name, t in model.params.items():
-            assert np.array_equal(t.data, again.params[name].data)
+            assert np.array_equal(t.data, loaded[name].data)
 
     def test_structure_rebuilt_from_seed(self, model, tmp_path):
         path = tmp_path / "m.nfc"

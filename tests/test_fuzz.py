@@ -22,7 +22,7 @@ import flowcodec.codec as C
 from flowcodec.codec import decode_image, decode_latents, encode_image
 from flowcodec.entropy import QuantSpec
 from flowcodec.errors import FormatError, ModelMismatchError
-from flowcodec.flow import FlowConfig, FlowModel
+from flowcodec.flow import FlowConfig, FlowModel, latent_shapes
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 REFUSED = (FormatError, ModelMismatchError)
@@ -114,7 +114,7 @@ class TestBitstream:
         ranges = [(0, 0)] * m.base_channels
 
         def zero_section(size: int) -> bytes:
-            n = math.prod(m.latent_shapes(size, size).z0)
+            n = math.prod(latent_shapes(m.config.in_channels, size, size).z0)
             return C._encode_section(C._base_section(m, m.model_id, header.spec, ranges, n),
                                      np.zeros(n))
 
@@ -159,10 +159,10 @@ class TestBitstream:
         blob = stream()
         header, _ = C._parse_header(blob)
         field = data.draw(st.sampled_from(["orig_h", "orig_w", "channels", "p_thresh",
-                                           "partial_frac", "level_mask"]))
+                                           "level_mask"]))
         if field == "level_mask":
             value = data.draw(st.sampled_from(C.LEVEL_MASKS))
-        elif field in ("p_thresh", "partial_frac"):
+        elif field == "p_thresh":
             value = data.draw(st.floats(allow_nan=True, allow_infinity=True))
         else:
             limit = {"channels": 0xFFFF}.get(field, 0xFFFFFFFF)

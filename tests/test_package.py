@@ -62,3 +62,29 @@ def test_readme_layout_lists_every_module():
     assert len(listed) == len(set(listed))
     present = {p.name for p in PACKAGE_DIR.glob("*.py")} - {"__init__.py"}
     assert set(listed) == present
+
+
+def test_every_function_is_used_outside_the_tests():
+    """Every non-dunder function and method in the package is named in
+    src/ or perfbench/ beside its own `def`: as a name, an attribute, an
+    import or a string (`__all__`, the benchmark tracer's dotted hook
+    names).  A helper only the tests call does not belong in the package."""
+    sources = [*PACKAGE_DIR.glob("*.py"), *(README.parent / "perfbench").glob("*.py")]
+    used = set()
+    defined = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(node.value.split("."))  # "RangeEncoder.finish" names both
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and path.parent == PACKAGE_DIR
+                  and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    unused = {name: at for name, at in defined.items() if name not in used}
+    assert not unused, unused

@@ -26,11 +26,12 @@ class TestRoundTrip:
         for t in other.tensors():
             t.data = np.zeros_like(t.data)
         other.load_bytes(blob)
+        loaded = dict(other.items())
         for name, t in store.items():
-            assert t.data.dtype == other[name].data.dtype
+            assert t.data.dtype == loaded[name].data.dtype
             assert np.array_equal(
                 t.data.view(np.uint8) if t.data.ndim else t.data,
-                other[name].data.view(np.uint8) if t.data.ndim else other[name].data,
+                loaded[name].data.view(np.uint8) if t.data.ndim else loaded[name].data,
             )
         # serialize again: byte-for-byte identical
         assert other.to_bytes() == blob

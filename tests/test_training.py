@@ -63,6 +63,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
+        ("eps", 0.0), ("eps", float("nan")), ("lr", float("nan")), ("lr", -1e-3),
+        ("delta_train", float("nan")), ("delta_train", 0.0),
+        ("pixel_scale", 0.0), ("pixel_scale", float("nan")),
+        ("lambda_rd", float("nan")), ("lambda_rd", -1.0),
+        ("dequant_amplitude", -0.5), ("dequant_amplitude", float("nan")),
+        ("warmup_steps", -1),
+    ])
+    def test_refuses_values_that_break_training(self, field, value):
+        """Values that crash the optimizer (beta1 = 1 divides by zero, eps =
+        0 divides by a zero norm), log a psnr of -inf (pixel_scale = 0) or
+        slip past a comparison (NaN) are refused, naming the field."""
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value}).validate()
+
 
 class TestAdaMax:
     def test_hand_stepped_oracle(self):
@@ -511,8 +527,9 @@ class TestFinetuneDeltas:
 
     def test_rejects_bad_arguments(self):
         model = tiny_model(seed=27)
-        with pytest.raises(ValueError, match="positive"):
-            finetune_deltas(model, [np.zeros((1, 16, 16))], lam=0.0)
+        for lam in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                finetune_deltas(model, [np.zeros((1, 16, 16))], lam=lam)
         with pytest.raises(ValueError, match="empty"):
             finetune_deltas(model, [], lam=1.0)
 
