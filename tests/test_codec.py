@@ -1,13 +1,17 @@
 """Codec: round trips, skip agreement, container rules, progressive modes."""
 
+import os
 import re
 import struct
+import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import zlib
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from helpers import (
     decode_conditional,
     encode_conditional,
     freqs,
+    make_desk_corpus,
     perturb_model,
     reference_conditionals,
     skip_boundary_sigma,
@@ -741,3 +746,81 @@ class TestContainer:
             inspect_bitstream(blob)
         with pytest.raises(FormatError, match="trailing"):
             truncate_bitstream(blob, 2.0)
+
+
+DESK_MODEL = Path(__file__).parent.parent / "perfbench" / "model" / "desk.nfc"
+
+
+@pytest.fixture(scope="module")
+def desk_model():
+    """The committed benchmark model: hidden 16, 2 steps, 3 channels."""
+    return FlowModel.load(DESK_MODEL)
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is OpenBLAS built to pick its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+class TestMachineIndependence:
+    @pytest.mark.skipif(not openblas_dynamic_arch(),
+                        reason="needs OpenBLAS built with DYNAMIC_ARCH")
+    def test_decode_under_another_blas_kernel(self, desk_model, tmp_path):
+        """Streams of the desk model decode to the same latents under
+        OpenBLAS's Nehalem kernel as under the kernel it picks here: the
+        conditioning nets' rounding may differ, the coded symbols may not."""
+        images = make_desk_corpus(np.random.default_rng(180), 2, 64)
+        blobs = [encode_image(desk_model, img, spec_for(desk_model, step))
+                 for img in images for step in (0.25, 4.0)]
+        for i, blob in enumerate(blobs):
+            (tmp_path / f"{i}.nfb").write_bytes(blob)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from pathlib import Path\n"
+            "from flowcodec.codec import decode_latents\n"
+            "from flowcodec.flow import FlowModel\n"
+            "model = FlowModel.load(sys.argv[1])\n"
+            "out = {}\n"
+            "for i in range(int(sys.argv[3])):\n"
+            "    latents, _ = decode_latents(model, (Path(sys.argv[2]) / f'{i}.nfb').read_bytes())\n"
+            "    out.update({f'{i}_{k}': v for k, v in enumerate(latents)})\n"
+            "np.savez(Path(sys.argv[2]) / 'latents.npz', **out)\n"
+        )
+        src = Path(C.__file__).parent.parent
+        env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script, str(DESK_MODEL), str(tmp_path),
+                        str(len(blobs))], env=env, check=True, timeout=300)
+        with np.load(tmp_path / "latents.npz") as nehalem:
+            for i, blob in enumerate(blobs):
+                latents, _ = decode_latents(desk_model, blob)
+                for k, z in enumerate(latents):
+                    assert np.array_equal(nehalem[f"{i}_{k}"], z), (i, k)
+
+
+class TestMemoryBound:
+    def test_coding_peak_within_the_declared_bound(self, desk_model):
+        """encode_image and decode_image each peak, as tracemalloc sees
+        numpy's allocations, within the 320 bytes per padded pixel that
+        codec.py's docstring declares."""
+        bound = 320
+        image = make_desk_corpus(np.random.default_rng(181), 1, 256)[0]
+        spec = spec_for(desk_model, 1.0)
+        decode_image(desk_model, encode_image(desk_model, image[:, :8, :8], spec))
+        peaks = []
+        tracemalloc.start()
+        try:
+            blob = encode_image(desk_model, image, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            decode_image(desk_model, blob)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= bound * 256 * 256, [p / 256**2 for p in peaks]
