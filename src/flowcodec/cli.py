@@ -45,6 +45,14 @@ class CliError(Exception):
         self.code = code
 
 
+# The first entry an exception is an instance of gives its exit code; a
+# CliError carries its own.  OSError covers a missing file, a directory
+# and no permission.
+EXIT_CODES = ((CliError, None), (OSError, EXIT_USAGE), (FormatError, EXIT_FORMAT),
+              (ModelMismatchError, EXIT_MODEL), (NumericError, EXIT_NUMERIC),
+              (ValueError, EXIT_USAGE))
+
+
 def _load_model(path: str) -> FlowModel:
     if not os.path.exists(path):
         raise CliError(f"model file not found: {path}", EXIT_USAGE)
@@ -339,24 +347,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:  # a missing file, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ModelMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+        return exc.code if code is None else code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Bijective multi-level image transform.
 
-Three levels of one type, `FlowLevel`, each: 2x2 space-to-depth, K steps
-of (seeded random channel permutation, additive coupling), then a
+Three levels of one type, `FlowLevel`, each: 2x2 space-to-depth, K
+additive coupling steps over seeded channel permutations, then a
 factor-out that emits half the channels as that level's latent and
 passes the rest on.  The deepest level emits everything that remains as
 the base latent.  Every layer has unit Jacobian determinant, so the
@@ -20,11 +20,11 @@ and inverts one level per step, and the conditionals of the next latent
 come from the features it has rebuilt.  `FlowModel.inverse`, the codec,
 the trainer's sampling path and step tuning all walk it.
 
-The permutation and coupling partitions are drawn once from the model
-seed and rebuilt from it when a model file is loaded; the conditioning
-networks are small residual stacks whose output convolutions start at
-zero, so a freshly built model is the identity map with unit-scale
-conditionals.
+Each level draws its permutations and coupling partitions once from the
+model seed, composes them into one channel order, and rebuilds them from
+the seed when a model file is loaded; the conditioning networks are
+small residual stacks whose output convolutions start at zero, so a
+freshly built model is the identity map with unit-scale conditionals.
 
 The transform computes in float64 for every model: `forward` promotes
 the image and `DecoderChain` the latents, so a float32 model
@@ -169,70 +169,39 @@ class ResNet:
         return conv2d(h, self.head_k, self.head_b)
 
 
-class AdditiveCoupling:
-    """v = (u_a, u_b + t(u_a)) over a fixed random half/half channel split.
-
-    Volume preserving (unit Jacobian determinant); the inverse subtracts
-    the same conditioner output.
-    """
-
-    def __init__(self, store: ParamStore, name: str, channels: int,
-                 partition: np.ndarray, blocks: int, hidden: int,
-                 rng: np.random.Generator, dtype):
-        half = channels // 2
-        if channels % 2:
-            raise ValueError(f"coupling needs an even channel count, got {channels}")
-        self.idx_a = np.sort(partition[:half])
-        self.idx_b = np.sort(partition[half:])
-        self.unscramble = np.argsort(np.concatenate([self.idx_a, self.idx_b]))
-        self.t = ResNet(store, f"{name}.t", half, half, blocks, hidden, rng, dtype)
-
-    def _check(self, u: Tensor) -> None:
-        if u.shape[1] != self.idx_a.size + self.idx_b.size:
-            raise ValueError(
-                f"coupling expects {self.idx_a.size + self.idx_b.size} channels, got {u.shape[1]}"
-            )
-
-    def forward(self, u: Tensor) -> Tensor:
-        self._check(u)
-        ua = T.take_channels(u, self.idx_a)
-        ub = T.take_channels(u, self.idx_b)
-        vb = T.add(ub, self.t(ua))
-        return T.take_channels(T.concat_channels([ua, vb]), self.unscramble)
-
-    def inverse(self, v: Tensor) -> Tensor:
-        self._check(v)
-        va = T.take_channels(v, self.idx_a)
-        vb = T.take_channels(v, self.idx_b)
-        ub = T.sub(vb, self.t(va))
-        return T.take_channels(T.concat_channels([va, ub]), self.unscramble)
-
-
 class FlowLevel:
-    """squeeze, K x (permutation, coupling), then, below the base level, a
-    factor-out: the first `emit` channels leave as this level's latent and
-    the rest continue to the next level, and `phi` maps the continued half
-    to the (mean, log-scale) of the emitted one.  The base level emits all
-    its channels and has no `phi`."""
+    """squeeze, K coupling steps, then, below the base level, a factor-out:
+    the first `emit` channels leave as this level's latent and the rest
+    continue to the next level, and `phi` maps the continued half to the
+    (mean, log-scale) of the emitted one.  The base level emits all its
+    channels and has no `phi`.
+
+    Each step permutes the channels by a seeded permutation, then applies
+    an additive coupling (NICE) over a seeded half/half split: half a
+    passes through and half b becomes b + t(a), so the Jacobian
+    determinant is 1 and the inverse subtracts.  The permutations are
+    composed once, here: `order` lists the squeezed input's channels as
+    the last permutation leaves them, and each step's (a, b, restore, t)
+    indexes the squeezed input's channels directly; `restore` puts the
+    concatenation (a, b + t(a)) back at those indices."""
 
     def __init__(self, store: ParamStore, name: str, in_ch: int, steps: int,
                  blocks: int, hidden: int, last: bool,
                  struct_rng: np.random.Generator, weight_rng: np.random.Generator, dtype):
         channels = in_ch * 4
+        half = channels // 2
         self.channels = channels
-        self.perms: list[np.ndarray] = []
-        self.inv_perms: list[np.ndarray] = []
-        self.couplings: list[AdditiveCoupling] = []
+        self.couplings: list[tuple[np.ndarray, np.ndarray, np.ndarray, ResNet]] = []
+        order = np.arange(channels)
         for k in range(steps):
-            perm = struct_rng.permutation(channels)
-            self.perms.append(perm)
-            self.inv_perms.append(np.argsort(perm))
+            order = order[struct_rng.permutation(channels)]
             partition = struct_rng.permutation(channels)
-            self.couplings.append(
-                AdditiveCoupling(store, f"{name}.step{k}.coupling", channels,
-                                 partition, blocks, hidden, weight_rng, dtype)
-            )
-        self.emit = channels if last else channels // 2
+            a, b = order[np.sort(partition[:half])], order[np.sort(partition[half:])]
+            t = ResNet(store, f"{name}.step{k}.coupling.t", half, half, blocks, hidden,
+                       weight_rng, dtype)
+            self.couplings.append((a, b, np.argsort(np.concatenate([a, b])), t))
+        self.order, self.inv_order = order, np.argsort(order)
+        self.emit = channels if last else half
         self.phi: ResNet | None = None
         if not last:
             self.phi = ResNet(store, f"{name}.factor.phi", self.emit, 2 * self.emit,
@@ -241,17 +210,24 @@ class FlowLevel:
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor | None]:
         """(latent, continued features); the base level continues None."""
         x = T.squeeze2x2(x)
-        for perm, coupling in zip(self.perms, self.couplings):
-            x = coupling.forward(T.take_channels(x, perm))
+        for a, b, restore, t in self.couplings:
+            xa = T.take_channels(x, a)
+            x = T.take_channels(T.concat_channels([xa, T.add(T.take_channels(x, b), t(xa))]),
+                                restore)
         if self.phi is None:
-            return x, None
-        return (T.take_channels(x, np.arange(self.emit)),
-                T.take_channels(x, np.arange(self.emit, 2 * self.emit)))
+            return T.take_channels(x, self.order), None
+        return (T.take_channels(x, self.order[: self.emit]),
+                T.take_channels(x, self.order[self.emit :]))
 
     def inverse(self, z: Tensor, h: Tensor | None) -> Tensor:
         x = z if self.phi is None else T.concat_channels([z, h])
-        for inv_perm, coupling in zip(reversed(self.inv_perms), reversed(self.couplings)):
-            x = T.take_channels(coupling.inverse(x), inv_perm)
+        if x.shape[1] != self.channels:
+            raise ValueError(f"flow level expects {self.channels} channels, got {x.shape[1]}")
+        x = T.take_channels(x, self.inv_order)
+        for a, b, restore, t in reversed(self.couplings):
+            xa = T.take_channels(x, a)
+            x = T.take_channels(T.concat_channels([xa, T.sub(T.take_channels(x, b), t(xa))]),
+                                restore)
         return T.unsqueeze2x2(x)
 
     def conditioning(self, h: Tensor) -> tuple[Tensor, Tensor]:

@@ -1,5 +1,6 @@
 """Codec: round trips, skip agreement, container rules, progressive modes."""
 
+import hashlib
 import os
 import re
 import struct
@@ -803,6 +804,21 @@ class TestMachineIndependence:
                 for k, z in enumerate(latents):
                     assert np.array_equal(nehalem[f"{i}_{k}"], z), (i, k)
 
+
+class TestGoldenStreams:
+    """The committed desk model codes one seeded 64x64 desk image to these
+    exact bytes: a change to the transform, the conditionals or the coder
+    that moves one bit of a stream fails here."""
+
+    @pytest.mark.parametrize("step,digest", [
+        (0.25, "1d6fe41fed82d1e4aa7d0991b3b3e6a10194e43deda2e95e90229c047200ac8d"),
+        (1.0, "1c47e78c391c94fcfae16fa9812c9043d865297777c7254078506447b776cd9f"),
+        (4.0, "9ca047f37bb5bc2da59b24781f8178d2f1b55d1eb39b6d6984ed124e87894078"),
+    ])
+    def test_desk_model_stream_bytes(self, desk_model, step, digest):
+        image = make_desk_corpus(np.random.default_rng(182), 1, 64)[0]
+        blob = encode_image(desk_model, image, spec_for(desk_model, step))
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 class TestMemoryBound:
     def test_coding_peak_within_the_declared_bound(self, desk_model):

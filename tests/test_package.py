@@ -65,10 +65,11 @@ def test_readme_layout_lists_every_module():
 
 
 def test_every_function_is_used_outside_the_tests():
-    """Every non-dunder function and method in the package is named in
-    src/ or perfbench/ beside its own `def`: as a name, an attribute, an
-    import or a string (`__all__`, the benchmark tracer's dotted hook
-    names).  A helper only the tests call does not belong in the package."""
+    """Every non-dunder function, method and class in the package is named
+    in src/ or perfbench/ beside its own `def` or `class`: as a name, an
+    attribute, an import or a string (`__all__`, the benchmark tracer's
+    dotted hook names).  A helper only the tests call does not belong in
+    the package."""
     sources = [*PACKAGE_DIR.glob("*.py"), *(README.parent / "perfbench").glob("*.py")]
     used = set()
     defined = {}
@@ -82,7 +83,7 @@ def test_every_function_is_used_outside_the_tests():
                 used.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.update(node.value.split("."))  # "RangeEncoder.finish" names both
-            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and path.parent == PACKAGE_DIR
                   and not (node.name.startswith("__") and node.name.endswith("__"))):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
