@@ -75,9 +75,9 @@ Memory: one `encode_image` or `decode_image` call of the benchmark's
 desk architecture (3 channels, 2 steps, hidden width 16) peaks, as
 `tracemalloc` counts numpy's allocations, at no more than 320 bytes per
 padded pixel: 311 and 280 at 256x256, 309 and 278 at 512x512.  The peak
-grows with the conditioning nets' hidden width.  At `MAX_PIXELS` the
-bound comes to 5 GiB, so the pixel limit caps a hostile header's memory
-only at that size.
+grows with the conditioning nets' hidden width.  `MAX_PIXELS` follows
+from a budget of 1.25 GiB per call at that bound: 2^22 padded pixels
+(2048x2048), so a hostile header can ask for no more.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ from .tensor import Tensor, no_grad
 BITSTREAM_MAGIC = b"NFB1"
 BITSTREAM_VERSION = 5
 P_THRESH_DEFAULT = 0.9
-MAX_PIXELS = 1 << 24  # padded pixels per image, bounding a decode's allocations
+MAX_PIXELS = 1 << 22  # padded pixels per image: 320 B each is 1.25 GiB per call
 PARTIAL_FRACTION = 0.5  # of z2's elements, rounded up, go to section z2a
 
 LEVEL_MASKS = (1.0, 2.0, 2.5, 3.0)  # mask i holds the first i + 1 sections

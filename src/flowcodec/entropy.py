@@ -67,10 +67,6 @@ class QuantSpec:
         return cls(vals[0], vals[1], np.array(vals[2:]))
 
 
-def sigmoid_np(x) -> np.ndarray:
-    return T._sigmoid_np(np.asarray(x, dtype=np.float64))
-
-
 class FactorizedPrior:
     """Learned univariate CDF per channel; bin differences give symbol mass.
 
@@ -186,7 +182,7 @@ def logistic_bin_prob(v, mu, sigma, delta):
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     half = 0.5 * np.asarray(delta, dtype=np.float64)
-    out = sigmoid_np((v - mu + half) / sigma) - sigmoid_np((v - mu - half) / sigma)
+    out = T.sigmoid_np((v - mu + half) / sigma) - T.sigmoid_np((v - mu - half) / sigma)
     return np.clip(out, PROB_FLOOR, 1.0)
 
 

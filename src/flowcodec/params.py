@@ -100,38 +100,33 @@ def parse_entries(blob: bytes) -> list[tuple[str, np.ndarray]]:
     """Decode an NDG1 blob into (name, array) pairs."""
     if blob[:4] != MAGIC:
         raise FormatError(f"bad parameter store magic {blob[:4]!r}")
+    pos = 4
+    entries: list[tuple[str, np.ndarray]] = []
     try:
-        return _parse_entries(blob)
+        (count,) = struct.unpack_from("<I", blob, pos)
+        pos += 4
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, pos)
+            pos += 2
+            name = blob[pos : pos + name_len].decode("utf-8")
+            pos += name_len
+            code, rank = struct.unpack_from("<BB", blob, pos)
+            pos += 2
+            if code not in _CODE_DTYPES:
+                raise FormatError(f"parameter {name!r}: unknown dtype code {code}")
+            shape = struct.unpack_from(f"<{rank}I", blob, pos)
+            pos += 4 * rank
+            dtype = _CODE_DTYPES[code]
+            nbytes = math.prod(shape) * dtype.itemsize
+            raw = blob[pos : pos + nbytes]
+            if len(raw) != nbytes:
+                raise FormatError(f"parameter {name!r}: truncated payload")
+            pos += nbytes
+            entries.append((name, np.frombuffer(raw, dtype=dtype).reshape(shape).copy()))
     except struct.error:
         raise FormatError("parameter store truncated") from None
     except UnicodeDecodeError:
         raise FormatError("parameter name is not UTF-8") from None
-
-
-def _parse_entries(blob: bytes) -> list[tuple[str, np.ndarray]]:
-    pos = 4
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    entries: list[tuple[str, np.ndarray]] = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        code, rank = struct.unpack_from("<BB", blob, pos)
-        pos += 2
-        if code not in _CODE_DTYPES:
-            raise FormatError(f"parameter {name!r}: unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        dtype = _CODE_DTYPES[code]
-        nbytes = math.prod(shape) * dtype.itemsize
-        raw = blob[pos : pos + nbytes]
-        if len(raw) != nbytes:
-            raise FormatError(f"parameter {name!r}: truncated payload")
-        pos += nbytes
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        entries.append((name, arr))
     if pos != len(blob):
         raise FormatError(f"{len(blob) - pos} trailing bytes after parameter store")
     return entries

@@ -1,10 +1,13 @@
 """Dense tensor engine with reverse-mode automatic differentiation.
 
 Just enough machinery to train the toy-scale bijective models in this
-package: elementwise math, reductions, batched matmul, channel
-gather/scatter, 2x2 space-to-depth, and 2D convolution (in `conv.py`).
-Arrays are plain numpy; the tape is the DAG of `Tensor` nodes, walked
-once in reverse topological order by `backward()`.
+package, and no more: elementwise math as functions (`add`, `mul`,
+`sigmoid`, ...; `Tensor` has no arithmetic operators), a whole-array
+sum, reshape and transpose, batched matmul, channel gather/scatter, 2x2
+space-to-depth, and 2D convolution (in `conv.py`).  `sigmoid_np` is the
+one overflow-safe sigmoid, shared with the coder's numpy route.  Arrays
+are plain numpy; the tape is the DAG of `Tensor` nodes, walked once in
+reverse topological order by `backward()`.
 
 Layout convention for image-like tensors is (batch, channel, height,
 width).  Binary ops broadcast as numpy does (scalars and size-1 axes,
@@ -155,39 +158,6 @@ class Tensor:
             elif node.requires_grad:
                 node._accumulate(g)
 
-    # -- operators -------------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self, axes=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axes, keepdims)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, *shape)
 
@@ -288,7 +258,7 @@ def tanh(x) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def _sigmoid_np(v: Array) -> Array:
+def sigmoid_np(v: Array) -> Array:
     # branch-free overflow-safe form: exp(-|v|) never overflows and the
     # where() picks the numerically exact variant per sign
     t = np.exp(-np.abs(v))
@@ -297,7 +267,7 @@ def _sigmoid_np(v: Array) -> Array:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    data = _sigmoid_np(x.data)
+    data = sigmoid_np(x.data)
 
     def backward(g: Array):
         return [(x, g * data * (1.0 - data))]
@@ -314,7 +284,7 @@ def softplus(x) -> Tensor:
     x = as_tensor(x)
 
     def backward(g: Array):
-        return [(x, g * _sigmoid_np(x.data))]
+        return [(x, g * sigmoid_np(x.data))]
 
     return _make(_softplus_np(x.data), (x,), backward)
 
@@ -381,42 +351,14 @@ def ste_round(x) -> Tensor:
 # -- reductions -------------------------------------------------------------------
 
 
-def _norm_axes(axes, ndim: int) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    out = tuple(a % ndim if -ndim <= a < ndim else a for a in axes)
-    if len(set(out)) != len(out) or any(a < 0 or a >= ndim for a in out):
-        raise ValueError(f"invalid reduction axes {axes} for ndim {ndim}")
-    return out
-
-
-def reduce_sum(x, axes=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
     x = as_tensor(x)
-    ax = _norm_axes(axes, x.ndim)
-    data = x.data.sum(axis=ax, keepdims=keepdims)
 
     def backward(g: Array):
-        gg = g if keepdims else np.expand_dims(g, ax)
-        return [(x, np.broadcast_to(gg, x.shape).copy())]
+        return [(x, np.broadcast_to(g, x.shape).copy())]
 
-    return _make(data, (x,), backward)
-
-
-def reduce_mean(x, axes=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    ax = _norm_axes(axes, x.ndim)
-    count = int(np.prod([x.shape[a] for a in ax])) if ax else 1
-    data = x.data.mean(axis=ax, keepdims=keepdims)
-
-    def backward(g: Array):
-        gg = g / count
-        if not keepdims:
-            gg = np.expand_dims(gg, ax)
-        return [(x, np.broadcast_to(gg, x.shape).copy())]
-
-    return _make(data, (x,), backward)
+    return _make(x.data.sum(), (x,), backward)
 
 
 # -- structure ops ------------------------------------------------------------------
@@ -424,8 +366,6 @@ def reduce_mean(x, axes=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x, *shape) -> Tensor:
     x = as_tensor(x)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     data = x.data.reshape(shape)
 
     def backward(g: Array):

@@ -188,7 +188,7 @@ def _dequant_noise(rng: np.random.Generator, cfg: TrainConfig,
 
 def _squared_error(x: Tensor, y: Tensor) -> Tensor:
     diff = T.sub(x, y)
-    return T.reduce_mean(T.mul(diff, diff))
+    return T.div(T.reduce_sum(T.mul(diff, diff)), float(diff.size))
 
 
 def nll_loss(model: FlowModel, batch: np.ndarray, cfg: TrainConfig,

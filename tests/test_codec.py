@@ -698,12 +698,18 @@ class TestContainer:
     def test_pixel_limit(self, model, image, monkeypatch):
         """A header of 2^16 x 2^16 original pixels (CRC recomputed) is refused
         before any latent is allocated, and the encoder refuses to write a
-        stream past the limit."""
+        stream past the limit.  The limit is 2048 x 2048 padded pixels: the
+        parser takes that header and refuses one 8 columns wider."""
         blob = encode_image(model, image, spec_for(model, 1.0))
         header, start = C._parse_header(blob)
         big = C._pack_header(replace(header, orig_h=1 << 16, orig_w=1 << 16)) + blob[start:]
         with pytest.raises(FormatError, match="pixel limit"):
             inspect_bitstream(big)
+        edge = C._pack_header(replace(header, orig_h=2048, orig_w=2048)) + blob[start:]
+        assert inspect_bitstream(edge)["padded_size"] == (2048, 2048)
+        wider = C._pack_header(replace(header, orig_h=2048, orig_w=2056)) + blob[start:]
+        with pytest.raises(FormatError, match="2048x2056 exceed the 4194304-pixel limit"):
+            inspect_bitstream(wider)
         with pytest.raises(FormatError, match="pixel limit"):
             decode_image(model, big)
         monkeypatch.setattr(C, "MAX_PIXELS", 32 * 24)

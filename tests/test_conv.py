@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import fd_gradient, gradcheck, naive_conv2d, rel_error
 
+import flowcodec.tensor as T
 from flowcodec.conv import KEEPS_FREED_MEMORY, conv2d
 from flowcodec.tensor import Tensor
 
@@ -133,7 +134,7 @@ class TestGradients:
 
         def build():
             out = conv2d(x, k, b)
-            return (out * out).mean()
+            return T.div(T.reduce_sum(T.mul(out, out)), float(out.size))
 
         assert gradcheck(build, [x, k, b], h=1e-5, floor=1e-6) < 1e-4
 
@@ -144,7 +145,7 @@ class TestGradients:
 
         def build():
             out = conv2d(x, k)
-            return (out * out).mean()
+            return T.div(T.reduce_sum(T.mul(out, out)), float(out.size))
 
         assert gradcheck(build, [x, k], h=1e-5, floor=1e-6) < 1e-4
 
@@ -154,7 +155,7 @@ class TestGradients:
         k = Tensor(rng.normal(size=(2, 2, 1, 1)), requires_grad=True)
 
         def build():
-            return (conv2d(x, k) * 1.5).sum()
+            return T.reduce_sum(T.mul(conv2d(x, k), 1.5))
 
         assert gradcheck(build, [x, k], h=1e-5, floor=1e-6) < 1e-4
 
@@ -165,7 +166,7 @@ class TestGradients:
 
         def build():
             out = conv2d(x, weight)
-            return (out * out).sum()
+            return T.reduce_sum(T.mul(out, out))
 
         assert gradcheck(build, [weight], h=1e-5, floor=1e-6) < 1e-4
 
@@ -217,7 +218,7 @@ class TestFreedMemory:
         k = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
 
         def step():
-            conv2d(x, k).sum().backward()
+            T.reduce_sum(conv2d(x, k)).backward()
 
         for _ in range(3):
             step()

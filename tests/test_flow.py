@@ -432,7 +432,8 @@ class TestModelId:
         start = model.model_id
         opt = AdaMax(model.params.tensors(), lr=1e-2)
         zs, _ = model.forward(Tensor(np.random.default_rng(73).uniform(0, 255, (1, 3, 8, 8))))
-        T.add(T.add((zs[0] * zs[0]).sum(), (zs[1] * zs[1]).sum()), (zs[2] * zs[2]).sum()).backward()
+        T.add(T.add(T.reduce_sum(T.mul(zs[0], zs[0])), T.reduce_sum(T.mul(zs[1], zs[1]))),
+              T.reduce_sum(T.mul(zs[2], zs[2]))).backward()
         opt.step()
         stepped = model.model_id
         assert stepped == content_id(model) != start

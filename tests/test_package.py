@@ -64,17 +64,26 @@ def test_readme_layout_lists_every_module():
     assert set(listed) == present
 
 
+ARITHMETIC_DUNDERS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__neg__"}
+
+
 def test_every_function_is_used_outside_the_tests():
     """Every non-dunder function, method and class in the package is named
     in src/ or perfbench/ beside its own `def` or `class`: as a name, an
     attribute, an import or a string (`__all__`, the benchmark tracer's
     dotted hook names).  A helper only the tests call does not belong in
-    the package."""
+    the package.  Nor does an arithmetic operator: package code spells
+    `T.add`, `T.mul` and the rest, so an operator would serve only tests."""
     sources = [*PACKAGE_DIR.glob("*.py"), *(README.parent / "perfbench").glob("*.py")]
     used = set()
     defined = {}
+    operators = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", None) or getattr(node, "id", None)
+            if path.parent == PACKAGE_DIR and name in ARITHMETIC_DUNDERS:
+                operators.append(f"{path.name}:{node.lineno} {name}")
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -89,3 +98,4 @@ def test_every_function_is_used_outside_the_tests():
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
     unused = {name: at for name, at in defined.items() if name not in used}
     assert not unused, unused
+    assert not operators, operators

@@ -106,12 +106,12 @@ class TestStraightThrough:
 
         z1 = Tensor(zdata.copy(), requires_grad=True)
         out1 = universal_quantize(z1, 0.5, 0.1)
-        (out1 * out1 * w).sum().backward()
+        T.reduce_sum(T.mul(T.mul(out1, out1), w)).backward()
 
         z2 = Tensor(zdata.copy(), requires_grad=True)
-        shifted = (z2 + 0.1) / 0.5
-        out2 = (detached_round(shifted) * 0.5) - 0.1
-        (out2 * out2 * w).sum().backward()
+        shifted = T.div(T.add(z2, 0.1), 0.5)
+        out2 = T.sub(T.mul(detached_round(shifted), 0.5), 0.1)
+        T.reduce_sum(T.mul(T.mul(out2, out2), w)).backward()
 
         assert np.array_equal(out1.data, out2.data)
         assert np.array_equal(z1.grad, z2.grad)
@@ -120,7 +120,7 @@ class TestStraightThrough:
         step = Tensor(np.array(0.5), requires_grad=True)
         z = Tensor(np.array([1.3, -0.7]))
         out = round_to_grid(z, step)
-        out.sum().backward()
+        T.reduce_sum(out).backward()
         # d(step*round(z/step))/dstep = round(z/step) - z/step under STE
         k = np.round(z.data / step.data)
         expected = np.sum(k - z.data / step.data)

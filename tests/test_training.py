@@ -1,5 +1,6 @@
 """Trainer: optimizers vs hand-stepped oracles, losses, metrics, tuning."""
 
+import hashlib
 import threading
 import time
 
@@ -88,7 +89,7 @@ class TestAdaMax:
         theta, m, u = 1.0, 0.0, 0.0
         for t in range(1, 4):
             p.zero_grad()
-            (p * 1.0).backward()  # gradient exactly 1
+            T.mul(p, 1.0).backward()  # gradient exactly 1
             opt.step()
             m = 0.9 * m + 0.1 * 1.0
             u = max(0.999 * u, 1.0)
@@ -111,7 +112,7 @@ class TestAdaMax:
             for _ in range(20):
                 p.zero_grad()
                 w = Tensor(rng.normal(size=4))
-                (p * w * p).sum().backward()
+                T.reduce_sum(T.mul(T.mul(p, w), p)).backward()
                 opt.step()
             return p.data.copy()
 
@@ -121,7 +122,7 @@ class TestAdaMax:
 def _first_step_value():
     p = Tensor(np.array(1.0), requires_grad=True)
     opt = AdaMax([p], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-7)
-    (p * 1.0).backward()
+    T.mul(p, 1.0).backward()
     opt.step()
     return p.item()
 
@@ -133,7 +134,7 @@ class TestAdam:
         theta, m, v = 0.5, 0.0, 0.0
         for t in range(1, 4):
             p.zero_grad()
-            (p * 2.0).backward()  # gradient exactly 2
+            T.mul(p, 2.0).backward()  # gradient exactly 2
             opt.step()
             m = 0.9 * m + 0.1 * 2.0
             v = 0.999 * v + 0.001 * 4.0
@@ -379,6 +380,21 @@ class TestTrainLoop:
         history = train(model, corpus, cfg)
         assert np.isnan(history[0]["distortion"])
         assert np.isfinite(history[-1]["distortion"])
+
+    def test_golden_rows_and_model_bytes(self, tmp_path):
+        """A warm-up step (nll_loss), rd steps with nan nll rows, and a last
+        step where NLL_EVERY divides: the SHA-256 of the metric rows plus
+        the trained model's bytes pins the tape's arithmetic bit for bit,
+        as the golden streams pin the coder's."""
+        corpus = tiny_corpus(np.random.default_rng(18), n=4)
+        cfg = TrainConfig(batch_size=2, steps=11, warmup_steps=1, lambda_rd=0.02,
+                          seed=19, patch=8)
+        model = tiny_model(seed=27)
+        path = tmp_path / "metrics.csv"
+        history = train(model, corpus, cfg, metrics_path=path)
+        assert [np.isfinite(row["nll"]) for row in history] == [True] + [False] * 9 + [True]
+        digest = hashlib.sha256(path.read_bytes() + model.to_bytes()).hexdigest()
+        assert digest == "c162392f9928f44ae0c62f7c69d94598aaab0f15ac7d9b376212e54532ca945d"
 
 
 def nan_pixel(img):
