@@ -171,6 +171,7 @@ def cmd_inspect(args) -> int:
                 "levels", "partial_fraction", "p_thresh", "delta2", "delta1"):
         print(f"{key}: {info[key]}")
     print(f"delta0: {', '.join(f'{v:.6g}' for v in info['delta0'])}")
+    print(f"header: {info['header_bytes']} bytes")
     for name, size in info["section_bytes"].items():
         print(f"section {name}: {size} bytes")
     print(f"total: {info['total_bytes']} bytes")
@@ -297,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="compress an image")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--deltas", required=True, help="step file or inline scalar")
+    p.add_argument("--deltas", required=True,
+                   help="step file or inline scalar; each step snaps to the nearest 2^(k/16)")
     p.add_argument("--levels", default="3")
     p.add_argument("--out", required=True)
     p.add_argument("--p-thresh", type=float, default=P_THRESH_DEFAULT)

@@ -56,17 +56,22 @@ random (lo, width) draws, so a decoder's tables would depend on its
 cache history.  One `build_freq_tables` call then quantizes every
 channel's slice.
 
-Container layout (`NFB1`, version 5, little-endian): a CRC-protected
+Container layout (`NFB1`, version 6, little-endian): a CRC-protected
 header of what a decoder cannot derive, declared once as the fixed
 fields of `_HEADER` (model id, original extents, image channels,
-threshold, section count, delta2, delta1) and the `_header_tail` of its
-base-channel count (delta0, per-channel base symbol ranges, u32 section
-byte lengths); 652 bytes for 3 channels.  The payload sections z0, z1,
-z2a, z2b follow.  The finest level is coded as two independent streams
-split at a fixed raster position, the first `PARTIAL_FRACTION` of z2,
-so that a partial-quality stream is a byte prefix; truncation drops
-whole trailing sections and never needs the model.  The decoder refuses
-a header whose fields are out of range or disagree with the model.
+threshold, section count, and delta2 and delta1 as signed 16-bit grid
+indices), the `_header_tail` of its base-channel count (one signed byte
+of grid index per base step delta0, u32 section byte lengths), then
+each base channel's symbol range [lo, hi] as two zigzag LEB128 varints,
+and the CRC.  A step is 2^(k/16) for its index k (see `QuantSpec`).  A
+3-channel header is 112 bytes plus 2 to 6 bytes of range per base
+channel, 208 to 400 bytes; the `codec-ladder` streams of benchmark
+seeds 1 and 7 carry 208 to 296.  The payload sections z0, z1, z2a, z2b
+follow.  The finest level is coded as two independent streams split at
+a fixed raster position, the first `PARTIAL_FRACTION` of z2, so that a
+partial-quality stream is a byte prefix; truncation drops whole
+trailing sections and never needs the model.  The decoder refuses a
+header whose fields are out of range or disagree with the model.
 
 One coder state per stream; many streams may run concurrently over a
 shared immutable model.
@@ -102,7 +107,7 @@ from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: benchmark t
 from .tensor import Tensor, no_grad
 
 BITSTREAM_MAGIC = b"NFB1"
-BITSTREAM_VERSION = 5
+BITSTREAM_VERSION = 6
 P_THRESH_DEFAULT = 0.9
 MAX_PIXELS = 1 << 22  # padded pixels per image: 320 B each is 1.25 GiB per call
 PARTIAL_FRACTION = 0.5  # of z2's elements, rounded up, go to section z2a
@@ -154,25 +159,59 @@ def _sections_at(levels: float) -> tuple[str, ...]:
 
 
 # The fixed fields: magic, version, model id, original extents, image
-# channels, threshold, section count, delta2, delta1.
-_HEADER = struct.Struct("<4sB16sIIHdBdd")
+# channels, threshold, section count, and the grid indices of delta2 and
+# delta1 (see `QuantSpec`).
+_HEADER = struct.Struct("<4sB16sIIHdBhh")
 _CRC = struct.Struct("<I")
 
 
 def _header_tail(n_ch: int) -> struct.Struct:
-    """The fields after the fixed ones in a header of `n_ch` base
-    channels: delta0, the symbol range of every base channel, then the
-    section lengths."""
-    return struct.Struct(f"<{n_ch}d{2 * n_ch}h{len(_SECTION_NAMES)}I")
+    """The fixed-width fields after `_HEADER` in a header of `n_ch` base
+    channels: the grid index of each channel's delta0, then the section
+    lengths.  The base ranges (lo, hi) follow as `_varints`."""
+    return struct.Struct(f"<{n_ch}b{len(_SECTION_NAMES)}I")
+
+
+def _varints(values) -> bytes:
+    """Each value as a zigzag LEB128 varint."""
+    out = bytearray()
+    for n in values:
+        n = 2 * n if n >= 0 else -2 * n - 1
+        while n >= 0x80:
+            out.append(n & 0x7F | 0x80)
+            n >>= 7
+        out.append(n)
+    return bytes(out)
+
+
+def _read_varints(blob: bytes, pos: int, count: int) -> tuple[list[int], int]:
+    """`count` canonical zigzag LEB128 varints from pos, each of at most 3
+    bytes (a legal base range bound zigzags to 16 bits), and the position
+    after them."""
+    values = []
+    for _ in range(count):
+        n = 0
+        for i, byte in enumerate(blob[pos : pos + 3]):
+            n |= (byte & 0x7F) << 7 * i
+            if byte < 0x80:
+                break
+        else:
+            raise FormatError("bitstream truncated inside the header" if len(blob) < pos + 3
+                              else "varint of more than 3 bytes in the header's base ranges")
+        if byte == 0 and i > 0:
+            raise FormatError("overlong varint in the header's base ranges")
+        values.append((n >> 1) ^ -(n & 1))
+        pos += i + 1
+    return values, pos
 
 
 def _pack_header(h: Header) -> bytes:
+    k2, k1, k0 = h.spec.indices()
     out = _HEADER.pack(BITSTREAM_MAGIC, BITSTREAM_VERSION, h.model_id, h.orig_h, h.orig_w,
-                       h.channels, h.p_thresh, len(_sections_at(h.level_mask)),
-                       h.spec.delta2, h.spec.delta1)
-    out += _header_tail(len(h.spec.delta0)).pack(
-        *h.spec.delta0, *(k for lo_hi in h.base_ranges for k in lo_hi),
-        *(h.section_lengths.get(name, 0) for name in _SECTION_NAMES))
+                       h.channels, h.p_thresh, len(_sections_at(h.level_mask)), k2, k1)
+    out += _header_tail(len(k0)).pack(*k0, *(h.section_lengths.get(name, 0)
+                                             for name in _SECTION_NAMES))
+    out += _varints(k for lo_hi in h.base_ranges for k in lo_hi)
     return out + _CRC.pack(zlib.crc32(out))
 
 
@@ -183,11 +222,11 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
         raise FormatError(f"unsupported bitstream version {blob[4]}")
     try:
         (_, _, model_id, orig_h, orig_w, channels, p_thresh, n_sections,
-         delta2, delta1) = _HEADER.unpack_from(blob)
+         k2, k1) = _HEADER.unpack_from(blob)
         n_ch = latent_shapes(channels, 0, 0).z0[0]  # z0's channels, whatever the extents
         tail = _header_tail(n_ch)
         fields = tail.unpack_from(blob, _HEADER.size)
-        pos = _HEADER.size + tail.size
+        flat_ranges, pos = _read_varints(blob, _HEADER.size + tail.size, 2 * n_ch)
         (crc,) = _CRC.unpack_from(blob, pos)
     except struct.error:
         raise FormatError("bitstream truncated inside the header") from None
@@ -199,16 +238,15 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
         raise FormatError(f"section count {n_sections} lies outside 1 to {len(LEVEL_MASKS)}")
     if not 0.0 < p_thresh <= 1.0:
         raise FormatError(f"threshold {p_thresh!r} lies outside (0, 1]")
-    delta0, flat_ranges = fields[:n_ch], fields[n_ch : 3 * n_ch]
     try:
-        spec = QuantSpec(delta2, delta1, np.array(delta0))
+        spec = QuantSpec.from_indices(k2, k1, fields[:n_ch])
     except ValueError as exc:
         raise FormatError(f"bad header steps: {exc}") from None
     header = Header(
         model_id=model_id, orig_h=orig_h, orig_w=orig_w, channels=channels,
         p_thresh=p_thresh, level_mask=LEVEL_MASKS[n_sections - 1], spec=spec,
         base_ranges=list(zip(flat_ranges[::2], flat_ranges[1::2])),
-        section_lengths=dict(zip(_SECTION_NAMES, fields[3 * n_ch :])),
+        section_lengths=dict(zip(_SECTION_NAMES, fields[n_ch:])),
     )
     for axis, orig in (("height", orig_h), ("width", orig_w)):
         if orig < 1:
@@ -219,10 +257,10 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
             f"padded extents {pad_h}x{pad_w} exceed the {MAX_PIXELS}-pixel limit"
         )
     for i, (lo, hi) in enumerate(header.base_ranges):
-        if not 1 <= hi - lo + 1 <= MAX_SYMBOLS:
+        if not (-32768 <= lo <= hi <= 32767 and hi - lo + 1 <= MAX_SYMBOLS):
             raise FormatError(
-                f"base channel {i} symbol range [{lo}, {hi}] is empty or wider than "
-                f"{MAX_SYMBOLS} symbols"
+                f"base channel {i} symbol range [{lo}, {hi}] is empty, wider than "
+                f"{MAX_SYMBOLS} symbols or beyond 16 bits"
             )
     return header, pos + _CRC.size
 
@@ -258,6 +296,7 @@ def inspect_bitstream(blob: bytes) -> dict:
         "delta2": header.spec.delta2,
         "delta1": header.spec.delta1,
         "delta0": header.spec.delta0.tolist(),
+        "header_bytes": start,
         "section_bytes": dict(header.section_lengths),
         "total_bytes": len(blob),
     }

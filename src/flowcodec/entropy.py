@@ -17,6 +17,7 @@ evaluates them in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +30,68 @@ PROB_FLOOR = 1e-12
 LOG2E = float(np.log2(np.e))
 
 
+# 2 ** (i / 16) for i in 0..15, written out: a header's step index k
+# decodes to ldexp(_OCTAVE[k % 16], k // 16), which is exact, so no libm
+# call decides a decoded step and every machine reads the same one.
+_OCTAVE = (1.0, 1.0442737824274138, 1.0905077326652577, 1.1387886347566916,
+           1.189207115002721, 1.241857812073484, 1.2968395546510096, 1.3542555469368927,
+           1.4142135623730951, 1.4768261459394993, 1.5422108254079407, 1.6104903319492543,
+           1.681792830507429, 1.7562521603732995, 1.8340080864093424, 1.9152065613971474)
+LEVEL_STEP_INDICES = (-640, 640)  # delta2, delta1: 2^-40 to 2^40, a 16-bit index each
+BASE_STEP_INDICES = (-128, 127)  # delta0: 2^-8 to about 245, one signed byte each
+
+
+def grid_step(k: int) -> float:
+    """The step of grid index k, 2^(k/16), for k in LEVEL_STEP_INDICES."""
+    if not LEVEL_STEP_INDICES[0] <= k <= LEVEL_STEP_INDICES[1]:
+        raise ValueError(f"step index {k} lies outside {list(LEVEL_STEP_INDICES)}")
+    return math.ldexp(_OCTAVE[k % 16], k // 16)
+
+
+def step_index(step: float, indices: tuple[int, int]) -> int:
+    """The index of the grid step nearest `step` on a log scale, which
+    must lie within `indices`."""
+    step = float(step)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("quantization steps must be finite and strictly positive")
+    k = round(16 * math.log2(step))
+    if not indices[0] <= k <= indices[1]:
+        raise ValueError(f"step {step!r} lies outside the grid's 2^({indices[0]}/16) "
+                         f"to 2^({indices[1]}/16)")
+    return k
+
+
 @dataclass
 class QuantSpec:
     """Quantization steps: scalars for the two conditional levels, one
-    step per channel of the base latents.  Serialized in every bitstream
-    header."""
+    step per channel of the base latents.
+
+    Every step is snapped to the nearest point 2^(k/16) of one grid, at
+    most 2.2% away, so encoder and decoder quantize with the step that a
+    bitstream header carries as its index k: delta0 within
+    BASE_STEP_INDICES, delta2 and delta1 within LEVEL_STEP_INDICES.  A
+    step outside its range is refused.  Snapping is idempotent, and every
+    power of two from 2^-8 to 2^7 is on the grid."""
 
     delta2: float
     delta1: float
     delta0: np.ndarray
 
     def __post_init__(self):
-        self.delta2 = float(self.delta2)
-        self.delta1 = float(self.delta1)
-        self.delta0 = np.asarray(self.delta0, dtype=np.float64)
-        steps = np.concatenate(([self.delta2, self.delta1], self.delta0))
-        if not np.all(np.isfinite(steps) & (steps > 0)):
-            raise ValueError("quantization steps must be finite and strictly positive")
+        k2, k1, k0 = self.indices()
+        self.delta2, self.delta1 = grid_step(k2), grid_step(k1)
+        self.delta0 = np.array([grid_step(k) for k in k0], dtype=np.float64)
+
+    def indices(self) -> tuple[int, int, list[int]]:
+        """The grid indices (delta2, delta1, delta0) of the steps."""
+        return (step_index(self.delta2, LEVEL_STEP_INDICES),
+                step_index(self.delta1, LEVEL_STEP_INDICES),
+                [step_index(d, BASE_STEP_INDICES)
+                 for d in np.asarray(self.delta0, dtype=np.float64).ravel().tolist()])
+
+    @classmethod
+    def from_indices(cls, k2: int, k1: int, k0: list[int]) -> "QuantSpec":
+        return cls(grid_step(k2), grid_step(k1), [grid_step(k) for k in k0])
 
     @classmethod
     def uniform(cls, step: float, base_channels: int) -> "QuantSpec":

@@ -32,7 +32,9 @@ import numpy as np
 
 from . import tensor as T
 from .codec import pad_to_multiple
-from .entropy import QuantSpec, latent_rate_bits, mean_symbol
+from .entropy import (
+    BASE_STEP_INDICES, LEVEL_STEP_INDICES, QuantSpec, grid_step, latent_rate_bits, mean_symbol,
+)
 from .errors import NumericError
 from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
 from .quantize import draw_noise, round_to_grid, universal_quantize
@@ -370,7 +372,7 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
     optimized as log-values (positivity), with gradients flowing through
     the straight-through grid rounding and the bin-probability formulas.
     On divergence the learning rate is halved once; a second failure
-    aborts.
+    aborts.  The result is snapped to the steps a header can carry.
     """
     if not 0 < lam < np.inf:  # NaN fails too
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
@@ -411,7 +413,10 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
             opt.step()
         if not all(np.all(np.isfinite(p.data)) for p in log_steps):
             return None
-        d2, d1, d0 = (np.exp(p.data) for p in log_steps)
+        # QuantSpec snaps each step to its grid; a step tuned past a grid's end takes the end
+        ends = [LEVEL_STEP_INDICES, LEVEL_STEP_INDICES, BASE_STEP_INDICES]
+        d2, d1, d0 = (np.clip(np.exp(p.data), grid_step(lo), grid_step(hi))
+                      for p, (lo, hi) in zip(log_steps, ends))
         return QuantSpec(float(d2), float(d1), d0)
 
     result = attempt(TUNING_LR)

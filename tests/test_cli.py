@@ -186,6 +186,35 @@ class TestInspectTruncate:
         for name in ("z0", "z1", "z2a", "z2b"):
             assert f"section {name}:" in text
 
+    def test_inspect_prints_header_bytes_and_snapped_steps(self, quick_model_path, test_card,
+                                                           tmp_path, capsys):
+        """`--deltas 0.3` codes at the grid step 2^(-28/16); inspect prints
+        the header's size, which with the sections makes up the stream."""
+        from flowcodec.codec import inspect_bitstream
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "0.3", "--out", bs)
+        capsys.readouterr()
+        assert run("inspect", "--bitstream", bs) == 0
+        text = capsys.readouterr().out
+        info = inspect_bitstream(bs.read_bytes())
+        assert f"header: {info['header_bytes']} bytes" in text
+        assert info["header_bytes"] + sum(info["section_bytes"].values()) == info["total_bytes"]
+        assert f"delta1: {2.0 ** (-28 / 16)!r}" in text
+
+    @pytest.mark.parametrize("version", [1, 5])
+    def test_old_version_exit_3(self, quick_model_path, test_card, tmp_path, version):
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        blob = bytearray(bs.read_bytes())
+        blob[4] = version
+        bs.write_bytes(bytes(blob))
+        assert run("inspect", "--bitstream", bs) == 3
+        assert run("truncate", "--bitstream", bs, "--levels", "1", "--out", tmp_path / "t") == 3
+        assert run("decode", "--model", quick_model_path, "--bitstream", bs,
+                   "--out", tmp_path / "o.ppm") == 3
+
     def test_truncate_then_decode(self, quick_model_path, test_card, tmp_path):
         bs, cut = tmp_path / "c.nfb", tmp_path / "cut.nfb"
         run("encode", "--model", quick_model_path, "--input", test_card,

@@ -434,7 +434,8 @@ class TestPriorBlocks:
             decode_image(model, blob)
             assert sum(block.nbytes for block in C._BLOCKS.values()) <= C._BLOCK_CAP
         cached = {key[1] for key in C._BLOCKS}
-        assert steps[-1].tobytes() in cached and steps[0].tobytes() not in cached
+        first, last = (QuantSpec(1.0, 1.0, steps[i]).delta0.tobytes() for i in (0, -1))
+        assert last in cached and first not in cached
 
 
 class TestProgressive:
@@ -510,17 +511,22 @@ class TestContainer:
             assert info["padded_size"] == padded
             assert info["partial_count"] == partial
 
-    def test_header_is_652_bytes(self, model, image):
-        """A 3-channel header is 652 bytes at every level mask (48 base steps
-        and ranges among them), and the sections follow it to the end."""
-        blob = encode_image(model, image, spec_for(model, 1.0))
+    @pytest.mark.parametrize("spec,size", [
+        (QuantSpec.uniform(1.0, 48), 256),
+        (QuantSpec(3.0, 0.7, np.geomspace(0.3, 6.0, 48)), 248),
+    ], ids=["uniform", "non-uniform"])
+    def test_golden_header_sizes(self, model, image, spec, size):
+        """A 3-channel header is 112 bytes plus the varints of the base
+        ranges, the same at every level mask, and inspect_bitstream's
+        header and section bytes add up to the stream."""
+        blob = encode_image(model, image, spec)
         for levels in C.LEVEL_MASKS:
             cut = truncate_bitstream(blob, levels)
-            direct = encode_image(model, image, spec_for(model, 1.0), levels=levels)
+            direct = encode_image(model, image, spec, levels=levels)
             for stream in (cut, direct):
-                sections = inspect_bitstream(stream)["section_bytes"]
-                assert C._parse_header(stream)[1] == 652
-                assert len(stream) == 652 + sum(sections.values())
+                info = inspect_bitstream(stream)
+                assert C._parse_header(stream)[1] == info["header_bytes"] == size
+                assert info["total_bytes"] == size + sum(info["section_bytes"].values())
 
     def test_header_crc_detects_corruption(self, model, image):
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
@@ -551,52 +557,92 @@ class TestContainer:
             with pytest.raises(FormatError):
                 inspect_bitstream(blob[:cut])
 
+    @pytest.mark.parametrize("edit,match", [
+        ("overlong", "overlong varint"),
+        ("cut off", "truncated inside the header|CRC mismatch|more than 3 bytes"),
+        ("lo below 16 bits", "symbol range"),
+        ("wider than MAX_SYMBOLS", "symbol range"),
+    ], ids=["overlong", "cut off", "lo below 16 bits", "wider than MAX_SYMBOLS"])
+    def test_bad_base_range_varints_rejected(self, model, image, edit, match):
+        """The base ranges are canonical zigzag varints of 16-bit bounds
+        at most MAX_SYMBOLS apart: an overlong varint, a varint whose last
+        byte runs on past the header, a lo below -32768 and a range one
+        symbol too wide are format errors even when the header CRC is
+        recomputed.  A varint that runs on into the CRC misreads it, or
+        what follows."""
+        blob = encode_image(model, image, spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        if edit in ("overlong", "cut off"):
+            fixed = C._HEADER.size + C._header_tail(model.base_channels).size
+            varints = bytearray(blob[fixed : start - 4])
+            varints[-1] |= 0x80  # the last hi's final byte says another follows
+            if edit == "overlong":  # and it does: a needless zero byte
+                varints.append(0)
+            head = blob[:fixed] + bytes(varints)
+            if edit == "cut off":
+                with pytest.raises(FormatError, match="truncated inside the header"):
+                    inspect_bitstream(head)
+            edited = head + struct.pack("<I", zlib.crc32(head)) + blob[start:]
+        else:
+            header.base_ranges[0] = ((-32769, -32769) if edit == "lo below 16 bits"
+                                     else (-16384, -16384 + C.MAX_SYMBOLS))
+            edited = C._pack_header(header) + blob[start:]
+        with pytest.raises(FormatError, match=match):
+            inspect_bitstream(edited)
+        with pytest.raises(FormatError, match=match):
+            decode_image(model, edited)
+
     @pytest.mark.parametrize("field,value", [
-        ("delta2", float("nan")), ("delta2", 0.0), ("delta1", -1.0), ("delta1", float("inf")),
-        ("delta0", float("nan")), ("delta0", 0.0),
+        ("delta2", 641), ("delta2", -641), ("delta1", 32767), ("delta1", -32768),
         ("p_thresh", float("nan")), ("p_thresh", 0.0), ("p_thresh", 1.5), ("p_thresh", -0.1),
     ])
     def test_bad_header_values_rejected(self, model, image, field, value):
-        """Non-finite or non-positive steps and thresholds outside (0, 1]
-        are format errors even when the header CRC is recomputed."""
+        """delta2 and delta1 grid indices outside [-640, 640] and thresholds
+        outside (0, 1] are format errors even when the header CRC is
+        recomputed.  Every delta0 byte is a valid index."""
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
         _, start = C._parse_header(bytes(blob))
         p_thresh_at = struct.calcsize("<4sB16sIIH")
         delta2_at = p_thresh_at + struct.calcsize("<dB")
-        offset = {"p_thresh": p_thresh_at, "delta2": delta2_at, "delta1": delta2_at + 8,
-                  "delta0": C._HEADER.size}[field]
-        struct.pack_into("<d", blob, offset, value)
+        offset = {"p_thresh": p_thresh_at, "delta2": delta2_at, "delta1": delta2_at + 2}[field]
+        struct.pack_into("<d" if field == "p_thresh" else "<h", blob, offset, value)
         struct.pack_into("<I", blob, start - 4, zlib.crc32(bytes(blob[: start - 4])))
         with pytest.raises(FormatError):
             inspect_bitstream(bytes(blob))
         with pytest.raises(FormatError):
             decode_image(model, bytes(blob))
 
-    @pytest.mark.parametrize("step", [1e-300, 5e-324])
-    def test_uncodable_step_is_a_format_error(self, model, image, step):
-        """A valid header whose step no encoder can code with fails to
-        decode with FormatError, not an arithmetic error."""
-        blob = encode_image(model, image, spec_for(model, 1.0))
-        header, start = C._parse_header(blob)
-        header.spec = QuantSpec(header.spec.delta2, step, header.spec.delta0)
-        with np.errstate(over="ignore"), pytest.raises(FormatError, match="section z1"):
-            decode_image(model, C._pack_header(header) + blob[start:])
+    @pytest.mark.parametrize("step,match", [
+        (1e-300, "bad header steps"), (5e-324, "bad header steps"), (2.0 ** -40, "section z1"),
+    ], ids=["1e-300", "5e-324", "2^-40"])
+    def test_uncodable_step_is_a_format_error(self, model, image, step, match):
+        """A CRC-valid header carrying the grid index of a step no encoder
+        can code with fails to decode with FormatError, not an arithmetic
+        error.  The indices of 1e-300 and 5e-324 fit 16 bits but lie off
+        the grid; the grid's finest delta1, 2^-40, is on it but leaves
+        section z1 undecodable."""
+        blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
+        _, start = C._parse_header(bytes(blob))
+        struct.pack_into("<h", blob, struct.calcsize("<4sB16sIIHdBh"),
+                         round(16 * np.log2(step)))
+        struct.pack_into("<I", blob, start - 4, zlib.crc32(bytes(blob[: start - 4])))
+        with np.errstate(over="ignore"), pytest.raises(FormatError, match=match):
+            decode_image(model, bytes(blob))
 
     def test_base_step_the_prior_cannot_take_is_a_format_error(self, model, image):
-        """A header step under which a valid model's prior yields no finite
-        masses (a weight whose softplus is 0 meets an infinite argument)
-        fails to decode with FormatError naming z0."""
+        """A stream whose base steps leave the decoding model's prior without
+        finite masses fails to decode with FormatError naming z0.  Every
+        header step lies within 2^-8 to 2^(127/16), so the prior is
+        sabotaged instead: a NaN weight, behind a header naming that model."""
         other = FlowModel.from_bytes(model.to_bytes())
-        other.prior.matrices[1].data[0, 0, 0] = -1e4
-        blob = encode_image(other, image, spec_for(other, 1.0))
+        other.prior.matrices[1].data[0, 0, 0] = np.nan
+        blob = encode_image(model, image, spec_for(model, 1.0))
         header, start = C._parse_header(blob)
-        delta0 = header.spec.delta0.copy()
-        delta0[0] = 1e308
-        header.spec = QuantSpec(header.spec.delta2, header.spec.delta1, delta0)
+        header.model_id = other.model_id
         with np.errstate(all="ignore"), pytest.raises(FormatError, match="section z0"):
             decode_image(other, C._pack_header(header) + blob[start:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_versions_rejected(self, model, image, version):
         blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
         blob[4] = version
@@ -814,17 +860,25 @@ class TestMachineIndependence:
 class TestGoldenStreams:
     """The committed desk model codes one seeded 64x64 desk image to these
     exact bytes: a change to the transform, the conditionals or the coder
-    that moves one bit of a stream fails here."""
+    that moves one bit of a payload fails here, and so does a change to
+    the header.  The payload digests, of the bytes after the header, date
+    from bitstream version 5, whose header of 652 bytes coded the same
+    payloads."""
 
-    @pytest.mark.parametrize("step,digest", [
-        (0.25, "1d6fe41fed82d1e4aa7d0991b3b3e6a10194e43deda2e95e90229c047200ac8d"),
-        (1.0, "1c47e78c391c94fcfae16fa9812c9043d865297777c7254078506447b776cd9f"),
-        (4.0, "9ca047f37bb5bc2da59b24781f8178d2f1b55d1eb39b6d6984ed124e87894078"),
-    ])
-    def test_desk_model_stream_bytes(self, desk_model, step, digest):
+    @pytest.mark.parametrize("step,header_digest,payload_digest", [
+        (0.25, "2d044a5f7a34146cdb115f02b17b21d7a47885087eb2ffde2e382afbf050666a",
+         "65e46d152d89f05a967d1ba710d89a084a2dd0b2dd6e90bc18b9f99b4b9ecd99"),
+        (1.0, "338ef916499345f33b33a0934b65e42ce3951ec1b21ddeb36b388da1265caf0a",
+         "31fcefa7100544f107308634989df9f2adc33ceb95d3f8e14fdd9a808c18c086"),
+        (4.0, "985a4eb9918e7745c306e79e1e47bc0b48c28f28943e4363b8f89c77fd06d808",
+         "0cb661efd49812b560fcaf7126b482d9054489c072b80f5ac21d0b200e729d87"),
+    ], ids=["0.25", "1.0", "4.0"])
+    def test_desk_model_stream_bytes(self, desk_model, step, header_digest, payload_digest):
         image = make_desk_corpus(np.random.default_rng(182), 1, 64)[0]
         blob = encode_image(desk_model, image, spec_for(desk_model, step))
-        assert hashlib.sha256(blob).hexdigest() == digest
+        _, start = C._parse_header(blob)
+        assert hashlib.sha256(blob[:start]).hexdigest() == header_digest
+        assert hashlib.sha256(blob[start:]).hexdigest() == payload_digest
 
 class TestMemoryBound:
     def test_coding_peak_within_the_declared_bound(self, desk_model):

@@ -1,19 +1,28 @@
 """Entropy models: prior CDF chain, discrete logistic bins, rate totals."""
 
+import math
+
 import numpy as np
 import pytest
 from helpers import gradcheck, skip_boundary_sigma
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowcodec.entropy as E
 import flowcodec.tensor as T
 from flowcodec.entropy import (
+    BASE_STEP_INDICES,
+    LEVEL_STEP_INDICES,
     PROB_FLOOR,
     FactorizedPrior,
     QuantSpec,
     bits,
     channels_first,
+    grid_step,
     latent_rate_bits,
     logistic_bin_prob,
     mean_symbol,
+    step_index,
 )
 from flowcodec.flow import LatentSet
 from flowcodec.tensor import Tensor, sigmoid_np
@@ -237,3 +246,51 @@ class TestQuantSpec:
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="declares"):
             QuantSpec.from_lines(["5", "1.0", "1.0", "1.0"])
+
+
+GRID = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+class TestStepGrid:
+    """Steps live on the grid 2^(k/16); a header carries the index k."""
+
+    def test_every_index_round_trips(self):
+        for k in range(LEVEL_STEP_INDICES[0], LEVEL_STEP_INDICES[1] + 1):
+            assert step_index(grid_step(k), LEVEL_STEP_INDICES) == k
+            assert QuantSpec.from_indices(k, k, []).indices() == (k, k, [])
+        base = list(range(BASE_STEP_INDICES[0], BASE_STEP_INDICES[1] + 1))
+        assert QuantSpec.from_indices(0, 0, base).indices() == (0, 0, base)
+
+    @GRID
+    @given(st.floats(min_value=grid_step(BASE_STEP_INDICES[0]),
+                     max_value=grid_step(BASE_STEP_INDICES[1])),
+           st.floats(min_value=2.0 ** -40, max_value=2.0 ** 40))
+    def test_snapping_is_idempotent_and_near(self, base, level):
+        once = QuantSpec(level, level, [base])
+        twice = QuantSpec(once.delta2, once.delta1, once.delta0)
+        assert (twice.delta1, twice.delta0.tobytes()) == (once.delta1, once.delta0.tobytes())
+        for step, snapped in ((base, once.delta0[0]), (level, once.delta1)):
+            assert abs(math.log2(snapped / step)) <= 1 / 32 + 1e-12  # 2.2% at most
+
+    def test_powers_of_two_are_exact(self):
+        for e in range(-8, 8):
+            assert grid_step(16 * e) == 2.0 ** e
+            spec = QuantSpec.uniform(2.0 ** e, 3)
+            assert spec.delta2 == spec.delta1 == 2.0 ** e
+            assert np.all(spec.delta0 == 2.0 ** e)
+
+    def test_octave_literals_within_one_ulp(self):
+        assert len(E._OCTAVE) == 16
+        for i, value in enumerate(E._OCTAVE):
+            assert abs(value - 2.0 ** (i / 16)) <= math.ulp(value)
+
+    @pytest.mark.parametrize("step", [2.0 ** -8.04, 2.0 ** (127.6 / 16), 1e300],
+                             ids=["below", "above", "far above"])
+    def test_base_steps_outside_the_grid_refused(self, step):
+        with pytest.raises(ValueError, match="outside the grid"):
+            QuantSpec(1.0, 1.0, [step])
+
+    @pytest.mark.parametrize("k", [-641, 641, 32767])
+    def test_indices_outside_the_grid_refused(self, k):
+        with pytest.raises(ValueError, match="outside"):
+            grid_step(k)

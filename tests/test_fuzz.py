@@ -128,25 +128,27 @@ class TestBitstream:
         assert decode_image(m, blob).shape == (3, 16, 16)
 
     @FUZZ
-    @given(st.lists(st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
-                              st.sampled_from([5e-324, 1e-300, 1e-9, 1e9, 1e300, 1.7e308])),
-                    min_size=1, max_size=4),
-           st.lists(st.tuples(st.integers(0, 47), st.integers(-32768, 32767),
-                              st.sampled_from([1, 2, 129, 4096, 32768])), max_size=2))
+    @given(st.lists(st.integers(-128, 127), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 47),
+                              st.one_of(st.integers(-32768, 32767),
+                                        st.integers(-(1 << 22), 1 << 22)),
+                              st.sampled_from([-1, 0, 1, 2, 129, 4096, 32768, 32769])),
+                    max_size=2))
     def test_hostile_steps_and_base_ranges(self, steps, ranges):
-        """Hostile delta0 values and base ranges up to the 32768-symbol
-        widest, with the CRC recomputed, reach the prior-block cache and
-        still only decode or refuse; the cache stays within its cap."""
+        """Hostile delta0 grid indices, any signed byte, and base ranges
+        (reversed, wider than the coder's tables, beyond 16 bits or with
+        varints longer than 3 bytes), with the CRC recomputed, reach the
+        prior-block cache and still only decode or refuse; the cache stays
+        within its cap."""
         blob = stream()
         header, _ = C._parse_header(blob)
-        delta0 = header.spec.delta0.copy()
-        for i, step in enumerate(steps):
-            delta0[(7 * i) % len(delta0)] = step
+        k2, k1, k0 = header.spec.indices()
+        for i, k in enumerate(steps):
+            k0[(7 * i) % len(k0)] = k
         base_ranges = list(header.base_ranges)
         for channel, lo, width in ranges:
-            lo = min(lo, 32768 - width)
             base_ranges[channel] = (lo, lo + width - 1)
-        header = replace(header, spec=QuantSpec(header.spec.delta2, header.spec.delta1, delta0),
+        header = replace(header, spec=QuantSpec.from_indices(k2, k1, k0),
                          base_ranges=base_ranges)
         with np.errstate(all="ignore"):
             decodes_or_refuses(with_header(header, blob))

@@ -11,7 +11,9 @@ from helpers import gradcheck, perturb_model
 import flowcodec.tensor as T
 import flowcodec.training as training
 from flowcodec.codec import encode_image
-from flowcodec.entropy import QuantSpec, logistic_bin_prob, mean_symbol
+from flowcodec.entropy import (
+    BASE_STEP_INDICES, QuantSpec, grid_step, logistic_bin_prob, mean_symbol,
+)
 from flowcodec.flow import DecoderChain, FlowConfig, FlowLevel, FlowModel
 from flowcodec.tensor import Tensor
 from flowcodec.training import (
@@ -527,6 +529,17 @@ class TestFinetuneDeltas:
         assert coarse.delta2 > fine.delta2
         assert coarse.delta1 > fine.delta1
         assert np.all(coarse.delta0 >= fine.delta0 * 0.999)
+
+    def test_steps_tuned_past_the_grid_take_its_end(self):
+        """At so small a rate weight the base step is tuned past 2^(127/16),
+        the largest a header carries: the result takes that step instead
+        of being refused."""
+        model = tiny_model(seed=26)
+        perturb_model(model, np.random.default_rng(105), 0.01)
+        images = tiny_corpus(np.random.default_rng(16), n=2, size=16)
+        spec = finetune_deltas(model, images, lam=1e-3, steps=60)
+        assert np.all(spec.delta0 == grid_step(BASE_STEP_INDICES[1]))
+        assert spec.delta2 > spec.delta0[0]
 
     def test_leaves_the_callers_model_unchanged(self):
         """Tuning reads a frozen copy: the caller's parameters stay on the
