@@ -70,7 +70,8 @@ seeds 1 and 7 carry 208 to 296.  The payload sections z0, z1, z2a, z2b
 follow.  The finest level is coded as two independent streams split at
 a fixed raster position, the first `PARTIAL_FRACTION` of z2, so that a
 partial-quality stream is a byte prefix; truncation drops whole
-trailing sections and never needs the model.  The decoder refuses a
+trailing sections and never needs the model, and a section beyond the
+header's section count has length 0.  The decoder refuses a
 header whose fields are out of range or disagree with the model.
 
 One coder state per stream; many streams may run concurrently over a
@@ -98,7 +99,7 @@ import numpy as np
 
 from .entropy import QuantSpec, logistic_bin_prob, mean_symbol
 from .errors import FormatError, ModelMismatchError, NumericError
-from .flow import LEVELS, DecoderChain, FlowModel, LatentSet, latent_shapes
+from .flow import LEVELS, DecoderChain, FlowModel, LatentSet, latent_shapes, pad
 from .quantize import grid_index, round_to_grid
 from .rangecoder import (  # noqa: F401  (RangeEncoder/RangeDecoder: benchmark trace hook names)
     MAX_SYMBOLS, RAW_MAX, FrequencyTable, RangeDecoder, RangeEncoder, build_freq_table,
@@ -248,6 +249,11 @@ def _parse_header(blob: bytes) -> tuple[Header, int]:
         base_ranges=list(zip(flat_ranges[::2], flat_ranges[1::2])),
         section_lengths=dict(zip(_SECTION_NAMES, fields[n_ch:])),
     )
+    for name in _SECTION_NAMES[n_sections:]:
+        if header.section_lengths[name]:
+            raise FormatError(f"section {_SECTION_LABELS[name]} holds "
+                              f"{header.section_lengths[name]} bytes, beyond the "
+                              f"{n_sections} sections the header declares")
     for axis, orig in (("height", orig_h), ("width", orig_w)):
         if orig < 1:
             raise FormatError(f"original {axis} {orig} is not positive")
@@ -300,20 +306,6 @@ def inspect_bitstream(blob: bytes) -> dict:
         "section_bytes": dict(header.section_lengths),
         "total_bytes": len(blob),
     }
-
-
-# -- padding ----------------------------------------------------------------------
-
-
-def pad_to_multiple(image: np.ndarray, multiple: int) -> np.ndarray:
-    """Mirror-pad (C,H,W) on the bottom/right to extent multiples."""
-    _, h, w = image.shape
-    ph = (-h) % multiple
-    pw = (-w) % multiple
-    if ph == 0 and pw == 0:
-        return image
-    # a pad wider than the image repeats the reflection
-    return np.pad(image, ((0, 0), (0, ph), (0, pw)), mode="symmetric")
 
 
 # -- conditioning helpers ------------------------------------------------------------
@@ -395,10 +387,9 @@ def _prior_blocks(model: FlowModel, model_id: bytes, delta0: np.ndarray,
 
 
 def _base_ranges(z0_hat: np.ndarray, spec: QuantSpec) -> list[tuple[int, int]]:
-    ranges = []
-    for i in range(z0_hat.shape[1]):
-        k = grid_index(z0_hat[0, i], spec.delta0[i])
-        lo, hi = int(k.min()), int(k.max())
+    k = grid_index(z0_hat[0], spec.delta0[:, None, None]).reshape(len(spec.delta0), -1)
+    los, his = k.min(axis=1).tolist(), k.max(axis=1).tolist()
+    for i, (lo, hi) in enumerate(zip(los, his)):
         if lo < -32768 or hi > 32767:
             raise NumericError(
                 f"base channel {i} symbols [{lo}, {hi}] exceed the 16-bit header range; "
@@ -409,8 +400,7 @@ def _base_ranges(z0_hat: np.ndarray, spec: QuantSpec) -> list[tuple[int, int]]:
                 f"base channel {i} spans {hi - lo + 1} symbols (> {MAX_SYMBOLS}); "
                 "use a coarser step"
             )
-        ranges.append((lo, hi))
-    return ranges
+    return list(zip(los, his))
 
 
 # -- section coding -----------------------------------------------------------------
@@ -563,7 +553,7 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
             f"{model.base_channels}"
         )
     orig_h, orig_w = image.shape[1], image.shape[2]
-    padded = pad_to_multiple(image, 2 ** LEVELS)
+    padded = pad(image)
     if padded.shape[1] * padded.shape[2] > MAX_PIXELS:
         raise ValueError(f"padded image of {padded.shape[1]}x{padded.shape[2]} pixels "
                          f"exceeds the {MAX_PIXELS}-pixel limit")

@@ -89,15 +89,15 @@ def _correlate(buf: Array, kernel: Array, n: int, h: int, w: int) -> Array:
     return np.ascontiguousarray(grid.transpose(1, 0, 2, 3))
 
 
-def conv2d(x, kernel, bias=None) -> Tensor:
-    """Same-padded stride-1 convolution of (N,Cin,H,W) with (Cout,Cin,kh,kw).
+def conv2d(x, kernel, bias) -> Tensor:
+    """Same-padded stride-1 convolution of (N,Cin,H,W) with (Cout,Cin,kh,kw),
+    plus the (Cout,) bias of each output channel.
 
-    Differentiable w.r.t. input, kernel and the per-output-channel bias;
-    the backward returns a gradient only for a parent that requires one.
-    Kernel spatial extents must be odd so that output extents match
-    input.
+    Differentiable w.r.t. input, kernel and bias; the backward returns a
+    gradient only for a parent that requires one.  Kernel spatial extents
+    must be odd so that output extents match input.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(
             f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}"
@@ -110,19 +110,15 @@ def conv2d(x, kernel, bias=None) -> Tensor:
         )
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ValueError(
-                f"conv2d: bias shape {bias.shape} does not match {cout} output channels"
-            )
+    if bias.shape != (cout,):
+        raise ValueError(
+            f"conv2d: bias shape {bias.shape} does not match {cout} output channels"
+        )
 
     # x's buffer: the padded grid (hp, wp) of every image, and slack s
     hp, wp = h + kh - 1, w + kw - 1
     size, s = n * hp * wp, (kh // 2) * wp + kw // 2
-    data = _correlate(_padded(x.data, kh, kw), kernel.data, n, h, w)
-    if bias is not None:
-        data = data + bias.data[None, :, None, None]
+    data = _correlate(_padded(x.data, kh, kw), kernel.data, n, h, w) + bias.data[:, None, None]
 
     def backward(g: Array):
         grads = []
@@ -143,9 +139,8 @@ def conv2d(x, kernel, bias=None) -> Tensor:
             # d/dx: correlate g with the spatially flipped, channel-transposed kernel
             kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             grads.append((x, _correlate(gbuf, kflip, n, h, w)))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             grads.append((bias, g.sum(axis=(0, 2, 3))))
         return grads
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(data, parents, backward)
+    return _make(data, (x, kernel, bias), backward)

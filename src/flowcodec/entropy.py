@@ -28,6 +28,8 @@ from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
 LOG2E = float(np.log2(np.e))
+# the base prior's shape: hidden width, stages, and initial scale (FactorizedPrior)
+PRIOR_WIDTH, PRIOR_DEPTH, PRIOR_INIT_SCALE = 3, 4, 64.0
 
 
 # 2 ** (i / 16) for i in 0..15, written out: a header's step index k
@@ -116,36 +118,25 @@ class QuantSpec:
 class FactorizedPrior:
     """Learned univariate CDF per channel; bin differences give symbol mass.
 
-    Chain of `depth` stages: affine maps whose matrices pass through
-    softplus (positivity keeps the CDF strictly increasing), gated
-    nonlinearities y + tanh(a) * tanh(y) between stages, sigmoid after the
-    final scalar stage.  Initialization is symmetric (zero biases and
-    gates), so F(0) = 0.5 exactly at init, with a small seeded jitter on
-    the matrices to keep hidden units distinguishable.
+    The factorized density of Balle et al. (arXiv:1802.01436): a chain of
+    PRIOR_DEPTH stages of width PRIOR_WIDTH, affine maps whose matrices
+    pass through softplus (positivity keeps the CDF strictly increasing),
+    gated nonlinearities y + tanh(a) * tanh(y) between stages, sigmoid
+    after the final scalar stage.  The stages start with a joint slope of
+    1 / PRIOR_INIT_SCALE, so the initial density spreads over about
+    +-PRIOR_INIT_SCALE.  Initialization is symmetric
+    (zero biases and gates), so F(0) = 0.5 exactly at init, with a small
+    seeded jitter on the matrices to keep hidden units distinguishable.
     """
 
-    def __init__(
-        self,
-        channels: int,
-        width: int = 3,
-        depth: int = 4,
-        init_scale: float = 64.0,
-        rng: np.random.Generator | None = None,
-        dtype=np.float64,
-    ):
-        if depth < 2:
-            raise ValueError("prior chain needs at least 2 stages")
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels: int, rng: np.random.Generator, dtype):
         self.channels = channels
-        self.width = width
-        self.depth = depth
-        self.init_scale = float(init_scale)
-        widths = [1] + [width] * (depth - 1) + [1]
-        scale = self.init_scale ** (1.0 / depth)
+        widths = [1] + [PRIOR_WIDTH] * (PRIOR_DEPTH - 1) + [1]
+        scale = PRIOR_INIT_SCALE ** (1.0 / PRIOR_DEPTH)
         self.matrices: list[Tensor] = []
         self.biases: list[Tensor] = []
         self.gates: list[Tensor] = []
-        for k in range(depth):
+        for k in range(PRIOR_DEPTH):
             w_in, w_out = widths[k], widths[k + 1]
             base = np.log(np.expm1(1.0 / scale / w_in))
             raw = base + 0.02 * rng.standard_normal((channels, w_out, w_in))
@@ -153,17 +144,17 @@ class FactorizedPrior:
             self.biases.append(
                 Tensor(np.zeros((channels, w_out, 1), dtype=dtype), requires_grad=True)
             )
-            if k < depth - 1:
+            if k < PRIOR_DEPTH - 1:
                 self.gates.append(
                     Tensor(np.zeros((channels, w_out, 1), dtype=dtype), requires_grad=True)
                 )
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = []
-        for k in range(self.depth):
+        for k in range(PRIOR_DEPTH):
             out.append((f"stage{k}.matrix", self.matrices[k]))
             out.append((f"stage{k}.bias", self.biases[k]))
-            if k < self.depth - 1:
+            if k < PRIOR_DEPTH - 1:
                 out.append((f"stage{k}.gate", self.gates[k]))
         return out
 
@@ -175,9 +166,9 @@ class FactorizedPrior:
                 f"prior cdf expects ({self.channels}, m) values, got {v.shape}"
             )
         x = v.reshape(self.channels, 1, v.shape[1])
-        for k in range(self.depth):
+        for k in range(PRIOR_DEPTH):
             x = T.add(T.matmul(T.softplus(self.matrices[k]), x), self.biases[k])
-            if k < self.depth - 1:
+            if k < PRIOR_DEPTH - 1:
                 x = T.add(x, T.mul(T.tanh(self.gates[k]), T.tanh(x)))
         return T.sigmoid(x).reshape(self.channels, v.shape[1])
 

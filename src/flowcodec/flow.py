@@ -49,7 +49,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .entropy import FactorizedPrior
+from .entropy import PRIOR_DEPTH, PRIOR_INIT_SCALE, PRIOR_WIDTH, FactorizedPrior
 from .errors import FormatError
 from .conv import conv2d
 from .params import _CODE_DTYPES, _DTYPE_CODES, ParamStore
@@ -60,6 +60,7 @@ MODEL_VERSION = 1
 # An NFC1 model file is this header, the parameter blob, then the SHA-256 of
 # both.  Fields: magic, version, dtype code, levels, steps, blocks, hidden,
 # in_channels, seed, prior width, prior depth, prior init scale, blob bytes.
+# The prior fields always hold entropy's fixed (3, 4, 64.0).
 MODEL_HEADER = struct.Struct("<4sBBBBBHHQBBdQ")
 LEVELS = 3
 LOG_SCALE_BOUND = 7.0
@@ -67,32 +68,29 @@ LOG_SCALE_BOUND = 7.0
 
 @dataclass
 class FlowConfig:
-    """Architecture knobs; the desk-scale defaults train in minutes."""
+    """Architecture knobs of the flow; the desk-scale defaults train in
+    minutes.  The base prior's shape is fixed (`entropy.PRIOR_WIDTH` and
+    its siblings)."""
 
     in_channels: int = 3
     steps: int = 2          # couplings per level
     blocks: int = 1         # residual blocks in each conditioning net
     hidden: int = 16        # hidden channels of the conditioning nets
     seed: int = 0
-    prior_width: int = 3
-    prior_depth: int = 4
-    prior_init_scale: float = 64.0
     dtype: str = "float64"  # parameter storage; the transform runs in float64
 
     def validate(self) -> None:
         if self.in_channels < 1 or self.steps < 1 or self.blocks < 1 or self.hidden < 1:
             raise ValueError("in_channels, steps, blocks and hidden must be >= 1")
         # the widths of the model file header's fields
-        if max(self.steps, self.blocks, self.prior_width, self.prior_depth) > 255:
-            raise ValueError("steps, blocks, prior_width and prior_depth must be <= 255")
+        if max(self.steps, self.blocks) > 255:
+            raise ValueError("steps and blocks must be <= 255")
         if max(self.in_channels, self.hidden) > 65535:
             raise ValueError("in_channels and hidden must be <= 65535")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unsupported dtype {self.dtype}")
-        if self.prior_width < 1 or self.prior_depth < 2:
-            raise ValueError("the prior needs width >= 1 and at least 2 stages")
 
     def param_count(self) -> int:
         """Parameter elements of a model with this config, counted without
@@ -109,9 +107,9 @@ class FlowConfig:
             if i < LEVELS - 1:
                 total += resnet(half, 2 * half)
                 c = half
-        widths = [1] + [self.prior_width] * (self.prior_depth - 1) + [1]
-        for k in range(self.prior_depth):
-            gated = k < self.prior_depth - 1
+        widths = [1] + [PRIOR_WIDTH] * (PRIOR_DEPTH - 1) + [1]
+        for k in range(PRIOR_DEPTH):
+            gated = k < PRIOR_DEPTH - 1
             total += 4 * c * widths[k + 1] * (widths[k] + 1 + gated)
         return total
 
@@ -130,6 +128,17 @@ def latent_shapes(channels: int, h: int, w: int) -> LatentSet:
     h x w input (the module docstring's bookkeeping), with no model."""
     return LatentSet((2 * channels, h // 2, w // 2), (4 * channels, h // 4, w // 4),
                      (16 * channels, h // 8, w // 8))
+
+
+def pad(image: np.ndarray) -> np.ndarray:
+    """Mirror-pad (C,H,W) on the bottom/right to multiples of 2 ** LEVELS,
+    the extents the transform takes."""
+    _, h, w = image.shape
+    ph, pw = (-h) % 2 ** LEVELS, (-w) % 2 ** LEVELS
+    if ph == 0 and pw == 0:
+        return image
+    # a pad wider than the image repeats the reflection
+    return np.pad(image, ((0, 0), (0, ph), (0, pw)), mode="symmetric")
 
 
 class ResNet:
@@ -273,14 +282,7 @@ class FlowModel:
             c = self.levels[-1].emit  # a non-base level continues as many as it emits
         self.latent_channels = [level.emit for level in self.levels]
 
-        self.prior = FactorizedPrior(
-            channels=self.latent_channels[-1],
-            width=config.prior_width,
-            depth=config.prior_depth,
-            init_scale=config.prior_init_scale,
-            rng=weight_rng,
-            dtype=dtype,
-        )
+        self.prior = FactorizedPrior(self.latent_channels[-1], weight_rng, dtype)
         for name, tensor in self.prior.parameters():
             self.params.add(f"prior.{name}", tensor)
         self._id: tuple[list[np.ndarray], bytes] | None = None  # see model_id
@@ -345,7 +347,7 @@ class FlowModel:
         body = MODEL_HEADER.pack(
             MODEL_MAGIC, MODEL_VERSION, _DTYPE_CODES[self.dtype], LEVELS,
             cfg.steps, cfg.blocks, cfg.hidden, cfg.in_channels, cfg.seed,
-            cfg.prior_width, cfg.prior_depth, cfg.prior_init_scale, len(blob),
+            PRIOR_WIDTH, PRIOR_DEPTH, PRIOR_INIT_SCALE, len(blob),
         ) + blob
         return body + hashlib.sha256(body).digest()
 
@@ -380,7 +382,7 @@ class FlowModel:
             raise FormatError("model file content hash mismatch")
         try:
             (_, version, dtype_code, levels, steps, blocks, hidden, in_channels, seed,
-             pw, pd, pscale, blob_len) = MODEL_HEADER.unpack_from(body)
+             *prior, blob_len) = MODEL_HEADER.unpack_from(body)
         except struct.error:
             raise FormatError("model file truncated inside the header") from None
         if version != MODEL_VERSION:
@@ -389,14 +391,15 @@ class FlowModel:
             raise FormatError(f"model declares {levels} levels; this build uses {LEVELS}")
         if dtype_code not in _CODE_DTYPES:
             raise FormatError(f"unknown model dtype code {dtype_code}")
+        fixed = (PRIOR_WIDTH, PRIOR_DEPTH, PRIOR_INIT_SCALE)
+        if tuple(prior) != fixed:  # NaN differs too
+            raise FormatError(f"bad model header: prior (width, depth, scale) "
+                              f"{tuple(prior)} is not {fixed}")
         blob = body[MODEL_HEADER.size:]
         if len(blob) != blob_len:
             raise FormatError("model file truncated")
-        config = FlowConfig(
-            in_channels=in_channels, steps=steps, blocks=blocks, hidden=hidden,
-            seed=seed, prior_width=pw, prior_depth=pd, prior_init_scale=pscale,
-            dtype=_CODE_DTYPES[dtype_code].name,
-        )
+        config = FlowConfig(in_channels=in_channels, steps=steps, blocks=blocks, hidden=hidden,
+                            seed=seed, dtype=_CODE_DTYPES[dtype_code].name)
         try:
             config.validate()
         except ValueError as exc:

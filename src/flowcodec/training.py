@@ -31,12 +31,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .codec import pad_to_multiple
 from .entropy import (
     BASE_STEP_INDICES, LEVEL_STEP_INDICES, QuantSpec, grid_step, latent_rate_bits, mean_symbol,
 )
 from .errors import NumericError
-from .flow import LEVELS, DecoderChain, FlowModel, LatentSet
+from .flow import LEVELS, DecoderChain, FlowModel, LatentSet, pad
 from .quantize import draw_noise, round_to_grid, universal_quantize
 from .tensor import Tensor, no_grad
 
@@ -129,25 +128,26 @@ class AdaMax:
 
 
 class Adam:
-    """Standard Adam; used for quantization-step tuning."""
+    """Standard Adam at the usual beta1, beta2 and eps; used for
+    quantization-step tuning."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-1, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
+        self.params, self.lr = params, lr
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.BETA1, self.BETA2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad_array()
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            p.data = p.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.EPS)
 
 
 # -- metrics ----------------------------------------------------------------------
@@ -385,7 +385,7 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
 
     cached = []  # (x, latents, conditionals) per image, all off the tape
     for img in images:
-        x = Tensor(pad_to_multiple(np.asarray(img, dtype=np.float64), 2 ** LEVELS)[None])
+        x = Tensor(pad(np.asarray(img, dtype=np.float64))[None])
         zs, hs = frozen.forward(x)
         cached.append((x, zs, _forward_conditionals(frozen, hs)))
 

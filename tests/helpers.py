@@ -45,7 +45,7 @@ def make_desk_corpus(rng: np.random.Generator, n: int, size: int = 32) -> list[n
     return images
 
 
-def naive_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def naive_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Direct nested-loop same-padded cross-correlation (the conv oracle)."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
@@ -62,8 +62,7 @@ def naive_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = No
                             for d in range(kw):
                                 acc += xp[b, c, i + a, j + d] * kernel[o, c, a, d]
                     out[b, o, i, j] = acc
-            if bias is not None:
-                out[b, o] += bias[o]
+            out[b, o] += bias[o]
     return out
 
 

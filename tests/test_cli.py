@@ -1,5 +1,8 @@
 """Command-line surface: file plumbing, exit codes, CSV contracts."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from helpers import make_desk_corpus
@@ -126,6 +129,27 @@ class TestEncodeDecode:
         assert run("decode", "--model", other, "--bitstream", bs,
                    "--out", tmp_path / "o.ppm") == 4
 
+    def test_base_symbols_beyond_16_bits_exit_5(self, quick_model_path, test_card, tmp_path,
+                                                 capsys):
+        """At a base step of 2^-8, pixel-scale base latents leave the
+        header's 16-bit symbol range."""
+        out = tmp_path / "never.nfb"
+        assert run("encode", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", 2.0 ** -8, "--out", out) == 5
+        assert not out.exists()
+        assert "exceed the 16-bit header range" in capsys.readouterr().err
+
+    def test_model_of_another_prior_scale_exit_3(self, quick_model_path, test_card, tmp_path):
+        """A prior init scale of 0 behind a recomputed content hash."""
+        body = bytearray(quick_model_path.read_bytes()[:-32])
+        struct.pack_into("<d", body, 23, 0.0)
+        bad = tmp_path / "bad.nfc"
+        bad.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        out = tmp_path / "never.nfb"
+        assert run("encode", "--model", bad, "--input", test_card,
+                   "--deltas", "1.0", "--out", out) == 3
+        assert not out.exists()
+
     def test_corrupt_bitstream_exit_3(self, quick_model_path, test_card, tmp_path):
         bs = tmp_path / "c.nfb"
         run("encode", "--model", quick_model_path, "--input", test_card,
@@ -214,6 +238,23 @@ class TestInspectTruncate:
         assert run("truncate", "--bitstream", bs, "--levels", "1", "--out", tmp_path / "t") == 3
         assert run("decode", "--model", quick_model_path, "--bitstream", bs,
                    "--out", tmp_path / "o.ppm") == 3
+
+    def test_undeclared_section_bytes_exit_3(self, quick_model_path, test_card, tmp_path):
+        """A full stream whose header declares one section, CRC recomputed."""
+        from dataclasses import replace
+
+        import flowcodec.codec as C
+        bs = tmp_path / "c.nfb"
+        run("encode", "--model", quick_model_path, "--input", test_card,
+            "--deltas", "1.0", "--out", bs)
+        blob = bs.read_bytes()
+        header, start = C._parse_header(blob)
+        bs.write_bytes(C._pack_header(replace(header, level_mask=1.0)) + blob[start:])
+        assert run("inspect", "--bitstream", bs) == 3
+        assert run("truncate", "--bitstream", bs, "--levels", "1", "--out", tmp_path / "t") == 3
+        assert run("decode", "--model", quick_model_path, "--bitstream", bs,
+                   "--out", tmp_path / "o.ppm") == 3
+        assert not (tmp_path / "o.ppm").exists()
 
     def test_truncate_then_decode(self, quick_model_path, test_card, tmp_path):
         bs, cut = tmp_path / "c.nfb", tmp_path / "cut.nfb"

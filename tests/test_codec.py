@@ -34,12 +34,11 @@ from flowcodec.codec import (
     decode_latents,
     encode_image,
     inspect_bitstream,
-    pad_to_multiple,
     truncate_bitstream,
 )
 from flowcodec.entropy import FactorizedPrior, QuantSpec, logistic_bin_prob, mean_symbol
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
-from flowcodec.flow import FlowConfig, FlowLevel, FlowModel, LatentSet, latent_shapes
+from flowcodec.flow import FlowConfig, FlowLevel, FlowModel, LatentSet, latent_shapes, pad
 from flowcodec.quantize import round_to_grid
 from flowcodec.rangecoder import TOTAL
 from flowcodec.tensor import Tensor, no_grad
@@ -68,16 +67,16 @@ def spec_for(model, step=1.0):
 class TestPadding:
     def test_multiple_preserved(self):
         img = np.arange(3 * 8 * 8, dtype=np.float64).reshape(3, 8, 8)
-        assert pad_to_multiple(img, 8) is img
+        assert pad(img) is img
 
     def test_pads_to_next_multiple(self):
         img = np.ones((3, 9, 14))
-        out = pad_to_multiple(img, 8)
+        out = pad(img)
         assert out.shape == (3, 16, 16)
 
     def test_tiny_image(self):
         img = np.random.default_rng(92).normal(size=(1, 2, 3))
-        out = pad_to_multiple(img, 8)
+        out = pad(img)
         assert out.shape == (1, 8, 8)
         assert np.array_equal(out[:, :2, :3], img)
 
@@ -89,7 +88,7 @@ class TestRoundTrip:
         blob = encode_image(model, image, spec)
         latents, header = decode_latents(model, blob)
 
-        padded = pad_to_multiple(image, 8)
+        padded = pad(image)
         with no_grad():
             zs, _ = model.forward(Tensor(padded[None].astype(np.float64)))
         z0_expected = round_to_grid(zs[2].data, spec.delta0[None, :, None, None])
@@ -119,7 +118,7 @@ class TestRoundTrip:
         perturb_model(gray, np.random.default_rng(92), scale=0.01)
         for m, img in ((model, image), (gray, image[:1])):
             spec = QuantSpec(0.5, 2.0, np.linspace(0.25, 1.0, m.base_channels))
-            padded = pad_to_multiple(img, 8)
+            padded = pad(img)
             with no_grad():
                 zs, _ = m.forward(Tensor(padded[None]))
             shapes = latent_shapes(m.config.in_channels, padded.shape[1], padded.shape[2])
@@ -490,6 +489,37 @@ class TestProgressive:
         assert e3 < e25 < e2
 
 
+class TestBaseRanges:
+    def test_symbols_beyond_16_bits_refused(self, model, image):
+        """At a base step of 2^-8 the pixel-scale base latents of the test
+        model reach symbols past 32767, which a header cannot carry."""
+        spec = QuantSpec(1.0, 1.0, np.full(model.base_channels, 2.0 ** -8))
+        with pytest.raises(NumericError, match=r"base channel \d+ symbols \[-?\d+, \d+\] "
+                                               "exceed the 16-bit header range"):
+            encode_image(model, image, spec)
+
+    def test_range_wider_than_a_table_refused(self):
+        """A channel spanning [-20000, 20000] fits 16 bits but not one
+        table; the first such channel is named."""
+        z0 = np.zeros((1, 4, 2, 2))
+        z0[0, 2, 0, :] = (-20000.0, 20000.0)
+        z0[0, 3, 0, :] = (-30000.0, 30000.0)
+        with pytest.raises(NumericError, match=f"base channel 2 spans 40001 symbols "
+                                               f"\\(> {C.MAX_SYMBOLS}\\)"):
+            C._base_ranges(z0, QuantSpec.uniform(1.0, 4))
+
+    def test_ranges_match_a_per_channel_loop(self):
+        """Each channel's (min, max) symbol at its own step, as a loop over
+        the channels finds them."""
+        rng = np.random.default_rng(97)
+        z0 = rng.normal(0, 40, size=(1, 16, 3, 5))
+        spec = QuantSpec(1.0, 1.0, rng.uniform(0.1, 8.0, 16))
+        z0 = round_to_grid(z0, spec.delta0[None, :, None, None])
+        want = [(int(np.round(z / d).min()), int(np.round(z / d).max()))
+                for z, d in zip(z0[0], spec.delta0)]
+        assert C._base_ranges(z0, spec) == want
+
+
 class TestContainer:
     def test_inspect_fields(self, model, image):
         spec = spec_for(model, 1.0)
@@ -790,6 +820,21 @@ class TestContainer:
         padded = C._pack_header(header) + b"".join(sections.values())
         with pytest.raises(FormatError, match=f"section {name}: 800 bytes after the end"):
             decode_image(model, padded)
+
+    @pytest.mark.parametrize("levels", [1.0, 2.0, 2.5])
+    def test_bytes_in_undeclared_sections_rejected(self, model, image, levels):
+        """A full stream whose header declares fewer sections (CRC
+        recomputed) still carries the later sections' bytes; every entry
+        point refuses it rather than reading a prefix of it."""
+        blob = encode_image(model, image[:, :16, :16], spec_for(model, 1.0))
+        header, start = C._parse_header(blob)
+        cut = C._pack_header(replace(header, level_mask=levels)) + blob[start:]
+        dropped = C._SECTION_NAMES[C.LEVEL_MASKS.index(levels) + 1]
+        match = f"section {re.escape(C._SECTION_LABELS[dropped])} holds \\d+ bytes, beyond the"
+        for call in (inspect_bitstream, lambda b: decode_image(model, b),
+                     lambda b: truncate_bitstream(b, 1.0)):
+            with pytest.raises(FormatError, match=match):
+                call(cut)
 
     def test_trailing_bytes_rejected(self, model, image):
         blob = encode_image(model, image[:, :16, :16], spec_for(model, 1.0)) + b"xx"

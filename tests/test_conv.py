@@ -67,10 +67,11 @@ class TestNaiveOracleSweep:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
         k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        out = conv2d(Tensor(x), Tensor(k)).data
+        b = rng.normal(size=4).astype(np.float32)
+        out = conv2d(Tensor(x), Tensor(k), Tensor(b)).data
         assert out.dtype == np.float32
         assert out.flags.c_contiguous
-        assert np.max(np.abs(out - naive_conv2d(x.astype(np.float64), k))) < 1e-4
+        assert np.max(np.abs(out - naive_conv2d(x.astype(np.float64), k, b))) < 1e-4
 
 
 def naive_conv2d_grads(x, kernel, g):
@@ -144,18 +145,8 @@ class TestGradients:
         k = Tensor(rng.normal(size=(3, 2, 7, 7)) * 0.3, requires_grad=True)
 
         def build():
-            out = conv2d(x, k)
+            out = conv2d(x, k, Tensor(np.zeros(3)))
             return T.div(T.reduce_sum(T.mul(out, out)), float(out.size))
-
-        assert gradcheck(build, [x, k], h=1e-5, floor=1e-6) < 1e-4
-
-    def test_no_bias_path(self):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-        k = Tensor(rng.normal(size=(2, 2, 1, 1)), requires_grad=True)
-
-        def build():
-            return T.reduce_sum(T.mul(conv2d(x, k), 1.5))
 
         assert gradcheck(build, [x, k], h=1e-5, floor=1e-6) < 1e-4
 
@@ -165,7 +156,7 @@ class TestGradients:
         x = Tensor(rng.normal(size=(2, 2, 5, 5)))
 
         def build():
-            out = conv2d(x, weight)
+            out = conv2d(x, weight, Tensor(np.zeros(3)))
             return T.reduce_sum(T.mul(out, out))
 
         assert gradcheck(build, [weight], h=1e-5, floor=1e-6) < 1e-4
@@ -216,9 +207,10 @@ class TestFreedMemory:
         rng = np.random.default_rng(21)
         x = Tensor(rng.normal(size=(8, 16, 32, 32)), requires_grad=True)
         k = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(16))
 
         def step():
-            T.reduce_sum(conv2d(x, k)).backward()
+            T.reduce_sum(conv2d(x, k, b)).backward()
 
         for _ in range(3):
             step()
@@ -231,11 +223,13 @@ class TestFreedMemory:
 class TestErrors:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channels"):
-            conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 4, 3, 3))))
+            conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 4, 3, 3))),
+                   Tensor(np.zeros(2)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((2, 2, 2, 2))))
+            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((2, 2, 2, 2))),
+                   Tensor(np.zeros(2)))
 
     def test_bad_bias_shape(self):
         with pytest.raises(ValueError, match="bias"):

@@ -13,6 +13,7 @@ import flowcodec.tensor as T
 from flowcodec.entropy import (
     BASE_STEP_INDICES,
     LEVEL_STEP_INDICES,
+    PRIOR_DEPTH,
     PROB_FLOOR,
     FactorizedPrior,
     QuantSpec,
@@ -35,10 +36,10 @@ def eval_chain_oracle(prior: FactorizedPrior, v: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
     x = v[:, None, :]
-    for k in range(prior.depth):
+    for k in range(PRIOR_DEPTH):
         W = softplus(prior.matrices[k].data)
         x = W @ x + prior.biases[k].data
-        if k < prior.depth - 1:
+        if k < PRIOR_DEPTH - 1:
             a = np.tanh(prior.gates[k].data)
             x = x + a * np.tanh(x)
     return (1.0 / (1.0 + np.exp(-x)))[:, 0, :]
@@ -46,7 +47,7 @@ def eval_chain_oracle(prior: FactorizedPrior, v: np.ndarray) -> np.ndarray:
 
 @pytest.fixture
 def prior():
-    return FactorizedPrior(channels=4, rng=np.random.default_rng(40))
+    return FactorizedPrior(4, np.random.default_rng(40), np.float64)
 
 
 class TestFactorizedPrior:
@@ -88,7 +89,7 @@ class TestFactorizedPrior:
 
     def test_monotone_after_training_steps(self):
         # positivity is structural: arbitrary parameter values keep F increasing
-        prior = FactorizedPrior(channels=2, rng=np.random.default_rng(42))
+        prior = FactorizedPrior(2, np.random.default_rng(42), np.float64)
         for t in prior.matrices + prior.biases + prior.gates:
             t.data = t.data + np.random.default_rng(43).normal(size=t.data.shape)
         v = np.linspace(-50, 50, 500)
@@ -180,7 +181,7 @@ class TestRate:
 
     def test_total_matches_numpy_decomposition(self):
         rng = np.random.default_rng(47)
-        prior = FactorizedPrior(channels=8, rng=rng)
+        prior = FactorizedPrior(8, rng, np.float64)
         z0 = rng.normal(size=(2, 8, 2, 2))
         z1 = rng.normal(size=(2, 4, 4, 4))
         z2 = rng.normal(size=(2, 2, 8, 8))
@@ -207,7 +208,7 @@ class TestRate:
 
     def test_differentiable_in_all_arguments(self):
         rng = np.random.default_rng(48)
-        prior = FactorizedPrior(channels=2, rng=rng)
+        prior = FactorizedPrior(2, rng, np.float64)
         z0 = Tensor(rng.normal(size=(1, 2, 2, 2)), requires_grad=True)
         z1 = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
         z2 = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)

@@ -10,6 +10,7 @@ import pytest
 from helpers import perturb_model
 
 import flowcodec.tensor as T
+from flowcodec.entropy import PRIOR_DEPTH, PRIOR_INIT_SCALE, PRIOR_WIDTH
 from flowcodec.errors import FormatError
 from flowcodec.flow import (
     DecoderChain, FlowConfig, FlowLevel, FlowModel, LatentSet, latent_shapes,
@@ -339,6 +340,25 @@ class TestModelFile:
         with pytest.raises(FormatError, match="bad model header"):
             FlowModel.from_bytes(self.resealed(model, offset, fmt, 0))
 
+    def test_prior_fields_hold_the_fixed_shape(self, model):
+        assert struct.unpack_from("<BBd", model.to_bytes(), 21) == (
+            PRIOR_WIDTH, PRIOR_DEPTH, PRIOR_INIT_SCALE)
+
+    @pytest.mark.parametrize("offset,fmt,value", [
+        (21, "<B", 2), (22, "<B", 5), (23, "<d", 0.0), (23, "<d", -64.0),
+        (23, "<d", float("nan")), (23, "<d", float("inf")),
+    ])
+    def test_other_prior_shape_rejected(self, model, monkeypatch, offset, fmt, value):
+        """The prior's shape is fixed: a header naming another (a scale of 0
+        once divided by zero, a negative one turned complex) is refused
+        before anything is built."""
+        built = []
+        monkeypatch.setattr(FlowModel, "__init__",
+                            lambda self, config: built.append(config))
+        with pytest.raises(FormatError, match="bad model header: prior"):
+            FlowModel.from_bytes(self.resealed(model, offset, fmt, value))
+        assert built == []
+
     def test_oversized_architecture_refused_before_building(self, model, monkeypatch):
         """hidden=65535 would need hundreds of GB; the blob's byte count
         refuses it before any parameter is allocated."""
@@ -362,15 +382,14 @@ class TestModelFile:
 
     @pytest.mark.parametrize("config", [
         FlowConfig(), FlowConfig(in_channels=1, steps=3, blocks=2, hidden=5),
-        FlowConfig(in_channels=4, steps=1, blocks=3, hidden=7, prior_width=2, prior_depth=5),
+        FlowConfig(in_channels=4, steps=1, blocks=3, hidden=7),
     ])
     def test_param_count_matches_the_built_model(self, config):
         model = FlowModel(config)
         assert config.param_count() == sum(t.size for t in model.params.tensors())
 
     @pytest.mark.parametrize("field,limit", [
-        ("steps", 255), ("blocks", 255), ("prior_width", 255), ("prior_depth", 255),
-        ("in_channels", 65535), ("hidden", 65535),
+        ("steps", 255), ("blocks", 255), ("in_channels", 65535), ("hidden", 65535),
     ])
     def test_config_bounded_by_the_header_fields(self, field, limit):
         """Every architecture field fits its model-header field, so a model

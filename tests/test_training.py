@@ -33,8 +33,7 @@ from flowcodec.training import (
 
 
 def tiny_model(seed=21, **kw) -> FlowModel:
-    cfg = dict(in_channels=1, steps=1, blocks=1, hidden=8, seed=seed,
-               prior_init_scale=64.0)
+    cfg = dict(in_channels=1, steps=1, blocks=1, hidden=8, seed=seed)
     cfg.update(kw)
     return FlowModel(FlowConfig(**cfg))
 
