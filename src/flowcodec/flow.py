@@ -52,7 +52,7 @@ from . import tensor as T
 from .entropy import PRIOR_DEPTH, PRIOR_INIT_SCALE, PRIOR_WIDTH, FactorizedPrior
 from .errors import FormatError
 from .conv import conv2d
-from .params import _CODE_DTYPES, _DTYPE_CODES, ParamStore
+from .params import DTYPES, ParamStore
 from .tensor import Tensor
 
 MODEL_MAGIC = b"NFC1"
@@ -345,7 +345,7 @@ class FlowModel:
         cfg = self.config
         blob = self.params.to_bytes()
         body = MODEL_HEADER.pack(
-            MODEL_MAGIC, MODEL_VERSION, _DTYPE_CODES[self.dtype], LEVELS,
+            MODEL_MAGIC, MODEL_VERSION, DTYPES.index(self.dtype), LEVELS,
             cfg.steps, cfg.blocks, cfg.hidden, cfg.in_channels, cfg.seed,
             PRIOR_WIDTH, PRIOR_DEPTH, PRIOR_INIT_SCALE, len(blob),
         ) + blob
@@ -389,7 +389,7 @@ class FlowModel:
             raise FormatError(f"unsupported model version {version}")
         if levels != LEVELS:
             raise FormatError(f"model declares {levels} levels; this build uses {LEVELS}")
-        if dtype_code not in _CODE_DTYPES:
+        if dtype_code >= len(DTYPES):
             raise FormatError(f"unknown model dtype code {dtype_code}")
         fixed = (PRIOR_WIDTH, PRIOR_DEPTH, PRIOR_INIT_SCALE)
         if tuple(prior) != fixed:  # NaN differs too
@@ -399,13 +399,13 @@ class FlowModel:
         if len(blob) != blob_len:
             raise FormatError("model file truncated")
         config = FlowConfig(in_channels=in_channels, steps=steps, blocks=blocks, hidden=hidden,
-                            seed=seed, dtype=_CODE_DTYPES[dtype_code].name)
+                            seed=seed, dtype=DTYPES[dtype_code].name)
         try:
             config.validate()
         except ValueError as exc:
             raise FormatError(f"bad model header: {exc}") from None
         # refuse before building: the header alone could ask for any size
-        needed = config.param_count() * _CODE_DTYPES[dtype_code].itemsize
+        needed = config.param_count() * DTYPES[dtype_code].itemsize
         if blob_len < needed:
             raise FormatError(
                 f"parameter blob of {blob_len} bytes cannot hold the {needed} bytes "

@@ -6,16 +6,17 @@ Format (`NDG1`, little-endian):
     entry: u16 name length | name utf-8 | u8 dtype code | u8 rank
            | u32 extent per rank | raw element bytes ('<f4' or '<f8')
 
-Reads are safe to share across threads; writes (training updates) are
-exclusive.  Optimizer state lives next to the parameters at runtime but
-is not serialized.
+A store reads back only what it writes: the names, dtypes, shapes and
+order are its own, so every byte but the element bytes is known before
+the blob is read.  Reads are safe to share across threads; writes
+(training updates) are exclusive.  Optimizer state lives next to the
+parameters at runtime but is not serialized.
 """
 
 from __future__ import annotations
 
-import math
+import io
 import struct
-from typing import Iterator
 
 import numpy as np
 
@@ -24,8 +25,14 @@ from .tensor import Tensor
 
 MAGIC = b"NDG1"
 
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # indexed by dtype code
+
+
+def _entry_head(name: str, arr: np.ndarray) -> bytes:
+    """Everything an entry holds before its element bytes."""
+    raw = name.encode("utf-8")
+    return (struct.pack("<H", len(raw)) + raw
+            + struct.pack(f"<BB{arr.ndim}I", DTYPES.index(arr.dtype), arr.ndim, *arr.shape))
 
 
 class ParamStore:
@@ -40,9 +47,6 @@ class ParamStore:
         self._params[name] = tensor
         return tensor
 
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._params.items())
-
     def tensors(self) -> list[Tensor]:
         return list(self._params.values())
 
@@ -53,80 +57,44 @@ class ParamStore:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = bytearray(MAGIC)
-        out += struct.pack("<I", len(self._params))
+        out = bytearray(MAGIC + struct.pack("<I", len(self._params)))
         for name, tensor in self._params.items():
-            raw = name.encode("utf-8")
             arr = tensor.data
-            code = _DTYPE_CODES.get(arr.dtype)
-            if code is None:
-                raise FormatError(f"parameter {name!r} has unsupported dtype {arr.dtype}")
-            out += struct.pack("<H", len(raw))
-            out += raw
-            out += struct.pack("<BB", code, arr.ndim)
-            out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-            out += np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes()
+            out += _entry_head(name, arr)
+            out += np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
         return bytes(out)
 
     def load_bytes(self, blob: bytes) -> None:
-        """Overwrite parameter values in place from a serialized store.
+        """Overwrite parameter values in place from `blob`, which must be
+        exactly what `to_bytes` writes for this store's names, dtypes and
+        shapes in its order; only the element bytes are read.
 
-        Names, shapes and dtypes must match this store's layout exactly;
-        every entry is checked before any parameter is rebound, so a
+        Every entry is checked before any parameter is rebound, so a
         refused load leaves the store as it was.
         """
-        entries = dict(parse_entries(blob))
-        if set(entries) != set(self._params):
-            missing = set(self._params) - set(entries)
-            extra = set(entries) - set(self._params)
-            raise FormatError(
-                f"parameter name mismatch (missing={sorted(missing)}, extra={sorted(extra)})"
-            )
-        for name, tensor in self._params.items():
-            arr = entries[name]
-            if arr.shape != tensor.data.shape:
-                raise FormatError(
-                    f"parameter {name!r}: stored shape {arr.shape} != expected {tensor.data.shape}"
-                )
-            if arr.dtype != tensor.data.dtype:
-                raise FormatError(
-                    f"parameter {name!r}: stored dtype {arr.dtype} != expected {tensor.data.dtype}"
-                )
-        for name, tensor in self._params.items():
-            tensor.data = entries[name]
+        stream = io.BytesIO(blob)
 
+        def take(n: int, what: str) -> bytes:
+            chunk = stream.read(n)
+            if len(chunk) != n:
+                raise FormatError(f"parameter store truncated in {what}")
+            return chunk
 
-def parse_entries(blob: bytes) -> list[tuple[str, np.ndarray]]:
-    """Decode an NDG1 blob into (name, array) pairs."""
-    if blob[:4] != MAGIC:
-        raise FormatError(f"bad parameter store magic {blob[:4]!r}")
-    pos = 4
-    entries: list[tuple[str, np.ndarray]] = []
-    try:
-        (count,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            name = blob[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            code, rank = struct.unpack_from("<BB", blob, pos)
-            pos += 2
-            if code not in _CODE_DTYPES:
-                raise FormatError(f"parameter {name!r}: unknown dtype code {code}")
-            shape = struct.unpack_from(f"<{rank}I", blob, pos)
-            pos += 4 * rank
-            dtype = _CODE_DTYPES[code]
-            nbytes = math.prod(shape) * dtype.itemsize
-            raw = blob[pos : pos + nbytes]
-            if len(raw) != nbytes:
-                raise FormatError(f"parameter {name!r}: truncated payload")
-            pos += nbytes
-            entries.append((name, np.frombuffer(raw, dtype=dtype).reshape(shape).copy()))
-    except struct.error:
-        raise FormatError("parameter store truncated") from None
-    except UnicodeDecodeError:
-        raise FormatError("parameter name is not UTF-8") from None
-    if pos != len(blob):
-        raise FormatError(f"{len(blob) - pos} trailing bytes after parameter store")
-    return entries
+        head = MAGIC + struct.pack("<I", len(self._params))
+        if take(len(head), "its header") != head:
+            raise FormatError(f"parameter store header mismatch: expected magic {MAGIC!r} "
+                              f"and {len(self._params)} entries")
+        arrays = []
+        for i, (name, tensor) in enumerate(self._params.items()):
+            arr = tensor.data
+            head = _entry_head(name, arr)
+            if take(len(head), f"entry {i}") != head:
+                raise FormatError(f"parameter entry {i} mismatch: expected name {name!r}, "
+                                  f"dtype {arr.dtype} and shape {arr.shape}")
+            raw = take(arr.nbytes, f"parameter {name!r}")
+            arrays.append(np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape).copy())
+        trailing = len(blob) - stream.tell()
+        if trailing:
+            raise FormatError(f"{trailing} trailing bytes after parameter store")
+        for tensor, arr in zip(self._params.values(), arrays):
+            tensor.data = arr

@@ -80,7 +80,8 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """key=value text; '#' starts a comment; unknown keys rejected."""
+        """key=value text; '#' starts a comment; unknown and repeated keys
+        rejected."""
         values = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -90,6 +91,8 @@ class TrainConfig:
                 if "=" not in body:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {body!r}")
                 key, raw = (s.strip() for s in body.split("=", 1))
+                if key in values:
+                    raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
                 values[key] = raw
         known = {f.name: f.type for f in fields(cls)}
         kwargs = {}

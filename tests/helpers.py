@@ -99,10 +99,15 @@ def fd_floor(loss_value: float, h: float, tol: float) -> float:
     return max(1e-10, 5.0 * noise / tol)
 
 
+def named_params(store) -> list:
+    """A parameter store's (name, tensor) pairs in the order it serializes them."""
+    return list(store._params.items())
+
+
 def perturb_model(model, rng: np.random.Generator, scale: float = 0.1) -> None:
     """Randomize the zero-initialized head convolutions so couplings and
     conditionals become non-trivial (a stand-in for a trained model)."""
-    for name, tensor in model.params.items():
+    for name, tensor in named_params(model.params):
         if ".head." in name:
             tensor.data = tensor.data + scale * rng.standard_normal(tensor.data.shape).astype(
                 tensor.data.dtype
@@ -118,7 +123,7 @@ def condition_for_gradcheck(model, rng: np.random.Generator) -> None:
     no bin probability reaches the clip floor.
     """
     perturb_model(model, rng, scale=0.05)
-    for name, tensor in model.params.items():
+    for name, tensor in named_params(model.params):
         if name.endswith(".bias") and ".head." not in name and "prior" not in name:
             signs = rng.choice([-1.0, 1.0], size=tensor.data.shape)
             tensor.data = tensor.data + signs * rng.uniform(1.0, 2.0, size=tensor.data.shape)

@@ -361,6 +361,14 @@ class TestTrain:
         assert run("train", "--corpus", corpus_dir, "--out", out,
                    "--config", cfg, "--hidden", 8) == 0
 
+    def test_config_with_a_repeated_key_exit_2(self, corpus_dir, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("lr=0.5\nsteps=3\nlr=0.001\n")
+        out = tmp_path / "m.nfc"
+        assert run("train", "--corpus", corpus_dir, "--out", out,
+                   "--config", cfg, "--hidden", 8) == 2
+        assert not out.exists()
+
     def test_zero_steps_writes_the_untrained_model(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "m.nfc"
         assert run("train", "--corpus", corpus_dir, "--out", out, "--steps", 0,

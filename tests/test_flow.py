@@ -4,10 +4,11 @@ import hashlib
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import perturb_model
+from helpers import named_params, perturb_model
 
 import flowcodec.tensor as T
 from flowcodec.entropy import PRIOR_DEPTH, PRIOR_INIT_SCALE, PRIOR_WIDTH
@@ -287,8 +288,8 @@ class TestModelFile:
         again = FlowModel.load(path)
         assert again.to_bytes() == model.to_bytes()
         assert again.model_id == model.model_id
-        loaded = dict(again.params.items())
-        for name, t in model.params.items():
+        loaded = dict(named_params(again.params))
+        for name, t in named_params(model.params):
             assert np.array_equal(t.data, loaded[name].data)
 
     def test_structure_rebuilt_from_seed(self, model, tmp_path):
@@ -372,8 +373,36 @@ class TestModelFile:
     def test_non_utf8_parameter_name_rejected(self, model):
         body = bytearray(model.to_bytes()[:-32])
         body[39 + 4 + 4 + 2] = 0xFF  # first byte of the first parameter name
-        with pytest.raises(FormatError, match="UTF-8"):
+        with pytest.raises(FormatError, match="entry 0 mismatch: expected name"):
             FlowModel.from_bytes(bytes(body) + hashlib.sha256(body).digest())
+
+    @staticmethod
+    def reblobbed(model, pick) -> bytes:
+        """The model file with its parameter entries replaced by
+        `pick(entries)`, each entry as `to_bytes` writes it, and the entry
+        count, blob length and SHA-256 recomputed."""
+        entries = []
+        for name, tensor in named_params(model.params):
+            single = ParamStore()
+            single.add(name, tensor)
+            entries.append(single.to_bytes()[8:])  # after magic and entry count
+        entries = pick(entries)
+        blob = b"NDG1" + struct.pack("<I", len(entries)) + b"".join(entries)
+        body = model.to_bytes()[:39 - 8] + struct.pack("<Q", len(blob)) + blob
+        return body + hashlib.sha256(body).digest()
+
+    @pytest.mark.parametrize("pick", [lambda e: e[::-1], lambda e: e[:1] + e],
+                             ids=["reversed", "first-duplicated"])
+    def test_blob_that_to_bytes_never_writes_rejected(self, model, pick):
+        """Entries out of order or repeated are refused behind a valid hash,
+        so every file that loads writes itself back and its id is its hash."""
+        assert self.reblobbed(model, lambda e: e) == model.to_bytes()
+        with pytest.raises(FormatError, match="mismatch"):
+            FlowModel.from_bytes(self.reblobbed(model, pick))
+
+    def test_desk_model_id_is_its_file_hash(self):
+        path = Path(__file__).parent.parent / "perfbench" / "model" / "desk.nfc"
+        assert FlowModel.load(path).model_id == hashlib.sha256(path.read_bytes()).digest()[:16]
 
     def test_short_header_rejected(self, model):
         body = model.to_bytes()[:5]  # magic and version

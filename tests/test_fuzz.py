@@ -180,13 +180,15 @@ class TestBitstream:
 class TestModelFile:
     @staticmethod
     def load(raw: bytes) -> None:
-        """Load `raw`; a model that loads must then decode the stream or
-        refuse it."""
+        """Load `raw`; a model that loads must write `raw` back, carry its
+        hash as its id, and then decode the stream or refuse it."""
         with np.errstate(all="ignore"):
             try:
                 other = FlowModel.from_bytes(raw)
             except FormatError:
                 return
+            assert other.to_bytes() == raw
+            assert other.model_id == hashlib.sha256(raw).digest()[:16]
             try:
                 decode_image(other, stream())
             except REFUSED:

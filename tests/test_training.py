@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import gradcheck, perturb_model
+from helpers import gradcheck, named_params, perturb_model
 
 import flowcodec.tensor as T
 import flowcodec.training as training
@@ -59,6 +59,12 @@ class TestTrainConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("learning_rate=1\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            TrainConfig.from_file(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("lr=0.5\nsteps=3\nlr=0.001\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:3: repeated config key 'lr'"):
             TrainConfig.from_file(path)
 
     def test_validation(self):
@@ -232,7 +238,7 @@ class TestRdLoss:
         model.params.zero_grads()
         loss2, _ = rd_loss(model, batch, cfg, np.random.default_rng(6))
         loss2.backward()
-        grads_full = {n: t.grad_array().copy() for n, t in model.params.items()}
+        grads_full = {n: t.grad_array().copy() for n, t in named_params(model.params)}
 
         model.params.zero_grads()
         draws = np.random.default_rng(6)
@@ -242,7 +248,7 @@ class TestRdLoss:
                               lambda z, delta, lv: universal_quantize(z, delta, d[lv]),
                               mean_symbol)
         rate.backward()
-        for name, t in model.params.items():
+        for name, t in named_params(model.params):
             assert np.array_equal(grads_full[name], t.grad_array()), name
 
     def test_float32_model_sees_the_float64_batch(self):
@@ -255,7 +261,7 @@ class TestRdLoss:
         single = tiny_model(dtype="float32")
         perturb_model(single, np.random.default_rng(102), 0.01)
         double = tiny_model(dtype="float64")
-        for (_, t32), (_, t64) in zip(single.params.items(), double.params.items()):
+        for (_, t32), (_, t64) in zip(named_params(single.params), named_params(double.params)):
             t64.data = t32.data.astype(np.float64)
         cfg = TrainConfig(batch_size=2)
         batch = sample_batch(tiny_corpus(np.random.default_rng(4)), np.random.default_rng(5), 2, 16)
@@ -548,7 +554,7 @@ class TestFinetuneDeltas:
         raw, model_id = model.to_bytes(), model.model_id
         images = tiny_corpus(np.random.default_rng(16), n=2, size=16)
         finetune_deltas(model, images, lam=1.0, steps=3)
-        for name, t in model.params.items():
+        for name, t in named_params(model.params):
             assert t.grad is None and t.requires_grad, name
         assert model.to_bytes() == raw
         assert model.model_id == model_id
