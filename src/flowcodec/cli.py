@@ -6,8 +6,10 @@ doing work and never mutates its input files.  CSV output always starts
 with a header row and uses dot decimals regardless of locale.
 
 Exit codes: 0 success, 2 usage (an unreadable path too), 3 malformed
-file, 4 model mismatch, 5 numeric failure.  The NFC_SEED environment
-variable overrides config seeds.
+file, 4 model mismatch, 5 numeric failure.  A failure's code comes only
+from its exception type, through `EXIT_CODES`; commands raise the
+library's own types.  The NFC_SEED environment variable overrides config
+seeds.
 """
 
 from __future__ import annotations
@@ -38,25 +40,11 @@ EXIT_FORMAT = 3
 EXIT_MODEL = 4
 EXIT_NUMERIC = 5
 
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-# The first entry an exception is an instance of gives its exit code; a
-# CliError carries its own.  OSError covers a missing file, a directory
-# and no permission.
-EXIT_CODES = ((CliError, None), (OSError, EXIT_USAGE), (FormatError, EXIT_FORMAT),
+# The first entry an exception is an instance of gives its exit code.
+# OSError covers a missing file, a directory and no permission.
+EXIT_CODES = ((OSError, EXIT_USAGE), (FormatError, EXIT_FORMAT),
               (ModelMismatchError, EXIT_MODEL), (NumericError, EXIT_NUMERIC),
               (ValueError, EXIT_USAGE))
-
-
-def _load_model(path: str) -> FlowModel:
-    if not os.path.exists(path):
-        raise CliError(f"model file not found: {path}", EXIT_USAGE)
-    return FlowModel.load(path)
 
 
 def _load_deltas(arg: str, model: FlowModel) -> QuantSpec:
@@ -66,16 +54,8 @@ def _load_deltas(arg: str, model: FlowModel) -> QuantSpec:
     try:
         value = float(arg)
     except ValueError:
-        raise CliError(f"steps argument {arg!r} is neither a file nor a number",
-                       EXIT_USAGE) from None
+        raise ValueError(f"steps argument {arg!r} is neither a file nor a number") from None
     return QuantSpec.uniform(value, model.base_channels)
-
-
-def _parse_levels(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise CliError(f"invalid level {text!r}", EXIT_USAGE) from None
 
 
 def _corpus_images(directory: str) -> list[np.ndarray]:
@@ -84,13 +64,8 @@ def _corpus_images(directory: str) -> list[np.ndarray]:
         p for p in Path(directory).iterdir() if p.suffix.lower() in exts
     ) if os.path.isdir(directory) else []
     if not paths:
-        raise CliError(f"no corpus images (.ppm/.png) found in {directory!r}", EXIT_USAGE)
+        raise ValueError(f"no corpus images (.ppm/.png) found in {directory!r}")
     return [read_image(p) for p in paths]
-
-
-def _seed_override(seed: int) -> int:
-    env = os.environ.get("NFC_SEED")
-    return int(env) if env else seed
 
 
 # -- commands --------------------------------------------------------------------
@@ -98,18 +73,10 @@ def _seed_override(seed: int) -> int:
 
 def cmd_train(args) -> int:
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    if args.steps is not None:
-        cfg.steps = args.steps
-    if args.lambda_rd is not None:
-        cfg.lambda_rd = args.lambda_rd
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.patch is not None:
-        cfg.patch = args.patch
-    if args.batch_size is not None:
-        cfg.batch_size = args.batch_size
-    cfg.seed = _seed_override(cfg.seed)
-    cfg.validate()
+    for name in ("steps", "lambda_rd", "seed", "patch", "batch_size"):
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
+    cfg.seed = int(os.environ.get("NFC_SEED") or cfg.seed)
     corpus = _corpus_images(args.corpus)
     model = FlowModel(FlowConfig(
         in_channels=corpus[0].shape[0], steps=args.flow_steps, blocks=args.blocks,
@@ -124,7 +91,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model = _load_model(args.model)
+    model = FlowModel.load(args.model)
     images = _corpus_images(args.corpus)
     spec = finetune_deltas(model, images, args.lambda_rd, steps=args.steps)
     Path(args.out).write_text("\n".join(spec.to_lines()) + "\n")
@@ -133,11 +100,10 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    model = _load_model(args.model)
+    model = FlowModel.load(args.model)
     image = read_image(args.input)
     spec = _load_deltas(args.deltas, model)
-    levels = _parse_levels(args.levels)
-    blob = encode_image(model, image, spec, levels=levels, p_thresh=args.p_thresh)
+    blob = encode_image(model, image, spec, levels=float(args.levels), p_thresh=args.p_thresh)
     Path(args.out).write_bytes(blob)
     rate = bpp(len(blob), image.shape[1], image.shape[2])
     print(f"wrote {args.out}: {len(blob)} bytes, {rate:.4f} bpp")
@@ -148,10 +114,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    model = _load_model(args.model)
+    model = FlowModel.load(args.model)
     blob = Path(args.bitstream).read_bytes()
-    levels = _parse_levels(args.levels) if args.levels else None
-    out = decode_image(model, blob, levels=levels)
+    out = decode_image(model, blob, levels=float(args.levels) if args.levels else None)
     write_ppm(args.out, out)
     print(f"wrote {args.out} ({out.shape[2]}x{out.shape[1]})")
     return EXIT_OK
@@ -159,7 +124,7 @@ def cmd_decode(args) -> int:
 
 def cmd_truncate(args) -> int:
     blob = Path(args.bitstream).read_bytes()
-    target = _parse_levels(args.levels)
+    target = float(args.levels)
     Path(args.out).write_bytes(truncate_bitstream(blob, target))
     print(f"wrote {args.out} (levels={target})")
     return EXIT_OK
@@ -180,8 +145,8 @@ def cmd_inspect(args) -> int:
 
 def cmd_reencode_loop(args) -> int:
     if args.iters < 0:
-        raise CliError(f"--iters must be >= 0, got {args.iters}", EXIT_USAGE)
-    model = _load_model(args.model)
+        raise ValueError(f"--iters must be >= 0, got {args.iters}")
+    model = FlowModel.load(args.model)
     image = read_image(args.input)
     spec = _load_deltas(args.deltas, model)
     keep_dir = Path(args.keep_dir) if args.keep_dir else None
@@ -203,18 +168,14 @@ def cmd_reencode_loop(args) -> int:
                 try:
                     inspect_bitstream(blob_back)
                 except FormatError as exc:
-                    raise CliError(
-                        f"intermediate bitstream corrupt at iteration {iteration}: {exc}",
-                        EXIT_FORMAT,
+                    raise FormatError(
+                        f"intermediate bitstream corrupt at iteration {iteration}: {exc}"
                     ) from exc
                 blob = blob_back
             if reference is None:
                 reference = blob
             elif blob != reference:
-                raise CliError(
-                    f"re-encoded bitstream diverged at iteration {iteration}",
-                    EXIT_NUMERIC,
-                )
+                raise NumericError(f"re-encoded bitstream diverged at iteration {iteration}")
             decoded = decode_image(model, blob)
         rows.append((iteration, bpp(len(blob), h, w), psnr(image, decoded)))
 
@@ -229,17 +190,12 @@ def cmd_reencode_loop(args) -> int:
 
 def cmd_rd_sweep(args) -> int:
     if args.calibration_images < 1:
-        raise CliError(f"--calibration-images must be >= 1, got {args.calibration_images}",
-                       EXIT_USAGE)
-    model = _load_model(args.model)
+        raise ValueError(f"--calibration-images must be >= 1, got {args.calibration_images}")
+    model = FlowModel.load(args.model)
     corpus = _corpus_images(args.corpus)
-    lambdas = []
-    for token in args.lambdas.split(","):
-        token = token.strip()
-        if token:
-            lambdas.append(float(token))
+    lambdas = [float(token) for token in args.lambdas.split(",") if token.strip()]
     if not lambdas:
-        raise CliError("no lambda values given", EXIT_USAGE)
+        raise ValueError("no lambda values given")
 
     rows = []
     for lam in lambdas:
@@ -351,8 +307,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
-        return exc.code if code is None else code
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

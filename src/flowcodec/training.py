@@ -25,8 +25,7 @@ read-only (tuning works on a frozen copy of the model).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,8 +74,11 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if self.batch_size < 1 or self.steps < 0 or self.warmup_steps < 0 or self.patch < 8:
-            raise ValueError("batch_size >= 1, steps >= 0, warmup_steps >= 0, patch >= 8 required")
+        if self.batch_size < 1 or self.steps < 0 or self.warmup_steps < 0:
+            raise ValueError("batch_size >= 1, steps >= 0, warmup_steps >= 0 required")
+        if self.patch < 1 or self.patch % 2 ** LEVELS:  # the transform's extent multiple
+            raise ValueError(f"patch must be a positive multiple of {2 ** LEVELS}, "
+                             f"got {self.patch!r}")
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":

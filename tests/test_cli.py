@@ -60,7 +60,8 @@ class TestEncodeDecode:
                    "--input", test_card, "--deltas", "1.0", "--out", out)
         assert code == 2
         assert not out.exists()
-        assert "not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "missing.nfc") in err
 
     @pytest.mark.parametrize("command,flag", [("encode", "--model"), ("encode", "--input"),
                                               ("decode", "--model"), ("decode", "--bitstream"),
@@ -390,6 +391,14 @@ class TestTrain:
         assert run("train", "--corpus", empty, "--out", tmp_path / "m.nfc",
                    "--steps", 1) == 2
 
+    def test_patch_not_a_multiple_of_8_exit_2_and_write_nothing(self, corpus_dir, tmp_path,
+                                                                 capsys):
+        out, metrics = tmp_path / "m.nfc", tmp_path / "metrics.csv"
+        assert run("train", "--corpus", corpus_dir, "--out", out, "--steps", 2,
+                   "--patch", 12, "--batch-size", 2, "--hidden", 8, "--metrics", metrics) == 2
+        assert "patch must be a positive multiple of 8" in capsys.readouterr().err
+        assert not out.exists() and not metrics.exists()
+
     def test_config_that_breaks_the_optimizer_exit_2(self, corpus_dir, tmp_path):
         """beta1 = 1 divides by zero in the first AdaMax step; it is refused
         before the metrics file opens, and no model is written."""
@@ -531,3 +540,57 @@ class TestReencodeLoop:
                    "--keep-dir", tmp_path / "keep")
         assert code == 3
         assert "iteration 2" in capsys.readouterr().err
+
+
+
+def _diverge_on_second_reencode(monkeypatch):
+    """The second re-encode (the third encode call) codes two levels:
+    another valid stream of the same image."""
+    real, calls = cli.encode_image, []
+
+    def encode(*args, **kwargs):
+        calls.append(None)
+        return real(*args, levels=2.0) if len(calls) == 3 else real(*args, **kwargs)
+    monkeypatch.setattr(cli, "encode_image", encode)
+
+
+# Each refusal: argv with {model}, {card}, {stream}, {corpus}, {empty} and
+# {out} placeholders, the exit code, a fragment of the one-line message,
+# and an optional monkeypatch setup.
+REFUSALS = {
+    "encode-levels-x": (("encode", "--model", "{model}", "--input", "{card}",
+                         "--deltas", "1.0", "--levels", "x", "--out", "{out}"), 2, "'x'", None),
+    "decode-levels-x": (("decode", "--model", "{model}", "--bitstream", "{stream}",
+                         "--levels", "x", "--out", "{out}"), 2, "'x'", None),
+    "truncate-levels-x": (("truncate", "--bitstream", "{stream}", "--levels", "x",
+                           "--out", "{out}"), 2, "'x'", None),
+    "rd-sweep-no-lambdas": (("rd-sweep", "--model", "{model}", "--corpus", "{corpus}",
+                             "--lambdas", ",", "--csv", "{out}"), 2, "no lambda values", None),
+    "train-empty-corpus": (("train", "--corpus", "{empty}", "--out", "{out}", "--steps", "1"),
+                           2, "no corpus images", None),
+    "reencode-diverges": (("reencode-loop", "--model", "{model}", "--input", "{card}",
+                           "--deltas", "1.0", "--iters", "3", "--csv", "{out}"), 5,
+                          "re-encoded bitstream diverged at iteration 2",
+                          _diverge_on_second_reencode),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_exit_code_and_message(case, quick_model_path, test_card, corpus_dir,
+                                       tmp_path, monkeypatch, capsys):
+    """Each refusal exits with its code, prints one line naming the cause
+    and writes no output file."""
+    argv, code, fragment, setup = REFUSALS[case]
+    stream, empty, out = tmp_path / "c.nfb", tmp_path / "empty", tmp_path / "out"
+    empty.mkdir()
+    assert run("encode", "--model", quick_model_path, "--input", test_card,
+               "--deltas", "1.0", "--out", stream) == 0
+    if setup:
+        setup(monkeypatch)
+    capsys.readouterr()
+    fields = dict(model=quick_model_path, card=test_card, stream=stream, corpus=corpus_dir,
+                  empty=empty, out=out)
+    assert run(*(a.format(**fields) for a in argv)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err, err
+    assert not out.exists()

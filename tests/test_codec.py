@@ -36,7 +36,7 @@ from flowcodec.codec import (
     inspect_bitstream,
     truncate_bitstream,
 )
-from flowcodec.entropy import FactorizedPrior, QuantSpec, logistic_bin_prob, mean_symbol
+from flowcodec.entropy import FactorizedPrior, QuantSpec, mean_symbol
 from flowcodec.errors import FormatError, ModelMismatchError, NumericError
 from flowcodec.flow import FlowConfig, FlowLevel, FlowModel, LatentSet, latent_shapes, pad
 from flowcodec.quantize import round_to_grid

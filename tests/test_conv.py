@@ -4,7 +4,7 @@ import resource
 
 import numpy as np
 import pytest
-from helpers import fd_gradient, gradcheck, naive_conv2d, rel_error
+from helpers import gradcheck, naive_conv2d
 
 import flowcodec.tensor as T
 from flowcodec.conv import KEEPS_FREED_MEMORY, conv2d

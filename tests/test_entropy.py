@@ -18,7 +18,6 @@ from flowcodec.entropy import (
     FactorizedPrior,
     QuantSpec,
     bits,
-    channels_first,
     grid_step,
     latent_rate_bits,
     logistic_bin_prob,

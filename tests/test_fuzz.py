@@ -13,7 +13,6 @@ import struct
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from helpers import perturb_model
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -99,3 +99,33 @@ def test_every_function_is_used_outside_the_tests():
     unused = {name: at for name, at in defined.items() if name not in used}
     assert not unused, unused
     assert not operators, operators
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never uses: not as a name, an
+    attribute's root or an `__all__` entry.  An import whose line carries
+    `# noqa: F401` is exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            exempt = "# noqa: F401" in lines[node.lineno - 1]
+            if exempt or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = f"{path.name}:{node.lineno}"
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{at} {name}" for name, at in imported.items() if name not in used]
+
+
+def test_no_unused_imports_in_the_package():
+    unused = [entry for path in sorted(PACKAGE_DIR.glob("*.py")) for entry in unused_imports(path)]
+    assert not unused, unused

@@ -22,7 +22,6 @@ from flowcodec.training import (
     TrainConfig,
     bpp,
     finetune_deltas,
-    mse,
     nll_loss,
     psnr,
     rd_loss,
@@ -86,6 +85,14 @@ class TestTrainConfig:
         slip past a comparison (NaN) are refused, naming the field."""
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("patch", [12, 4, 0, -8])
+    def test_patch_must_be_a_multiple_of_8(self, patch):
+        """The transform halves each extent three times; a patch of 12
+        would otherwise fail in the first forward pass, after train()
+        opened its metrics file."""
+        with pytest.raises(ValueError, match="patch must be a positive multiple of 8"):
+            TrainConfig(patch=patch).validate()
 
 
 class TestAdaMax:
