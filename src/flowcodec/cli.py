@@ -2,7 +2,9 @@
 
 Subcommands: train, finetune, encode, decode, truncate, rd-sweep,
 reencode-loop, inspect.  Every command validates file magics before
-doing work and never mutates its input files.  CSV output always starts
+doing work and never mutates its input files; the four that run long
+(train, finetune, rd-sweep, reencode-loop) refuse an output path they
+could not write before they start.  CSV output always starts
 with a header row and uses dot decimals regardless of locale.
 
 Exit codes: 0 success, 2 usage (an unreadable path too), 3 malformed
@@ -58,6 +60,16 @@ def _load_deltas(arg: str, model: FlowModel) -> QuantSpec:
     return QuantSpec.uniform(value, model.base_channels)
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would raise (a directory, a
+    missing parent, no permission) before a command does its work, and
+    leave no file behind."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _corpus_images(directory: str) -> list[np.ndarray]:
     exts = (".ppm", ".png")
     paths = sorted(
@@ -72,6 +84,7 @@ def _corpus_images(directory: str) -> list[np.ndarray]:
 
 
 def cmd_train(args) -> int:
+    _check_writable(args.out)
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     for name in ("steps", "lambda_rd", "seed", "patch", "batch_size"):
         if getattr(args, name) is not None:
@@ -91,6 +104,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    _check_writable(args.out)
     model = FlowModel.load(args.model)
     images = _corpus_images(args.corpus)
     spec = finetune_deltas(model, images, args.lambda_rd, steps=args.steps)
@@ -146,6 +160,7 @@ def cmd_inspect(args) -> int:
 def cmd_reencode_loop(args) -> int:
     if args.iters < 0:
         raise ValueError(f"--iters must be >= 0, got {args.iters}")
+    _check_writable(args.csv)
     model = FlowModel.load(args.model)
     image = read_image(args.input)
     spec = _load_deltas(args.deltas, model)
@@ -191,6 +206,7 @@ def cmd_reencode_loop(args) -> int:
 def cmd_rd_sweep(args) -> int:
     if args.calibration_images < 1:
         raise ValueError(f"--calibration-images must be >= 1, got {args.calibration_images}")
+    _check_writable(args.csv)
     model = FlowModel.load(args.model)
     corpus = _corpus_images(args.corpus)
     lambdas = [float(token) for token in args.lambdas.split(",") if token.strip()]

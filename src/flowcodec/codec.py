@@ -456,10 +456,12 @@ def _conditional_section(mu: np.ndarray, sigma: np.ndarray, delta: float, p_thre
     offset = x - center
     a = np.searchsorted(_SCALE_EDGES, sigma[coded] / delta)
     keys = a * _OFFSET_SLOTS + np.round(np.abs(offset) * (2 * _OFFSET_M[a])).astype(np.int64)
-    unique, table_of = np.unique(keys, return_inverse=True)
+    # the cells in use, ascending, and each element's index among them
+    used = np.bincount(keys, minlength=len(_SCALES) * _OFFSET_SLOTS) > 0
+    table_of = (np.cumsum(used) - 1)[keys]
     # a racing thread builds the identical table; either copy serves
     tables = [_CELLS.get(key) or _CELLS.setdefault(key, _cell_table(key))
-              for key in unique.tolist()]
+              for key in np.flatnonzero(used).tolist()]
     return _Section(lo + coded, center.astype(np.int64), np.where(offset < 0, -1, 1),
                     table_of, tables, delta)
 

@@ -1,20 +1,28 @@
 """Byte-oriented range coder and integer frequency tables.
 
-The coder keeps a 64-bit low (33 significant bits ahead of the carry),
-a 32-bit range, and a pending-byte pipeline that resolves carries into
-already-buffered output (the cache plus a run of 0xFF placeholders).
-Every span is a part of exactly 2^16, so the range never drops below
-the total between renormalizations.  The encoder's span loop moves
-bytes out inline; its flush writes the cache and the pending bytes,
-each plus the last carry, then the four bytes of low.
+The coder keeps a 32-bit range.  Every span is a part of exactly 2^16,
+so the range never drops below the total between renormalizations, and
+a span shifts out 0, 1 or 2 bytes (r >= 2^8 and freq >= 1).  The
+encoder's bytes are the base-256 digits of one exact integer: the sum
+of every span's term r * cum, times 256 to the number of shifts that
+follow it, in 5 + shifts bytes.  A carry-propagating coder (a cache
+byte and a run of pending 0xFF bytes that a later carry turns to 0x00)
+writes exactly these digits, because the interval [low, low + range)
+always nests inside the one before it: no carry passes the leading
+byte, and the flush settles every pending one.  So the encoder walks
+only the range span by span, in Python, and numpy adds the terms.
+Terms at one byte position form a run whose sum stays below the range
+it started with, 2^32; four byte planes of the run sums, read as
+integers and added, give the stream.
 
 A whole slice of symbols, each under its own table, goes through
 `encode_symbols` / `decode_symbols`: numpy gathers every span and
-escape flag of the slice up front, and one tight loop with locals only
-codes them (the decoder bisects each symbol's table starts for its
-slot).  `RangeEncoder` / `RangeDecoder` feed that one path a symbol at
-a time.  A payload that pushes the decoder's code value out of its
-interval, which only the escape slot can do, is corrupt.
+escape flag of the slice up front, and the encoder's range walk and
+the decoder's loop (which bisects each symbol's table starts for its
+slot) run on locals only.  `RangeEncoder` / `RangeDecoder` feed that
+one path a symbol at a time.  A payload that pushes the decoder's code
+value out of its interval, which only the escape slot can do, is
+corrupt.
 
 Tables map a contiguous integer symbol range from k_min plus one
 escape slot to integer frequencies, stored as uint16 cumulative starts:
@@ -47,7 +55,6 @@ TOTAL_BITS = 16
 TOTAL = 1 << TOTAL_BITS
 TOP = 1 << 24
 MASK32 = 0xFFFFFFFF
-ESCAPE_CUM = TOTAL - 1  # start of every table's escape slot
 
 MAX_SYMBOLS = 1 << 15  # table width guard; wider ranges go through escapes
 RAW_MIN, RAW_MAX = -(1 << 31), (1 << 31) - 1  # escaped symbols must fit 32 bits
@@ -138,64 +145,73 @@ def build_freq_tables(rows: Sequence[np.ndarray], k_mins: Sequence[int]) -> list
     return _tables(k_mins, freqs, widths + 1)
 
 
-def _encode_spans(cums: Iterable[int], freqs: Iterable[int]) -> bytes:
-    """Range-code the spans [cum, cum + freq) of TOTAL in order and flush."""
-    low, rng, cache, pending = 0, MASK32, 0, 0
-    out = bytearray()
-    for cum, freq in zip(cums, freqs):
-        r = rng >> TOTAL_BITS
-        low += r * cum
+def _encode_spans(cums: np.ndarray, freqs: np.ndarray) -> bytes:
+    """Range-code the spans [cum, cum + freq) of TOTAL in order and flush.
+
+    Only the range is walked span by span; the bytes are those of the
+    exact sum of every span's r * cum at the byte position it reaches."""
+    rs: list[int] = []
+    append = rs.append
+    rng = MASK32
+    for freq in freqs.tolist():
+        r = rng >> 16
+        append(r)
         rng = r * freq
-        while rng < TOP:
-            # move the top byte of low out; a 0xFF byte waits in pending
-            # until a later carry decides whether it stays 0xFF or wraps to 0
-            if low < 0xFF000000 or low > MASK32:
-                carry = low >> 32
-                out.append((cache + carry) & 0xFF)
-                if pending:
-                    out += bytes(((0xFF + carry) & 0xFF,)) * pending
-                    pending = 0
-                cache = (low >> 24) & 0xFF
-            else:
-                pending += 1
-            low = (low << 8) & MASK32
-            rng <<= 8
-    # flush: the cache and pending bytes take the last carry, then low's four bytes
-    carry = low >> 32
-    out.append((cache + carry) & 0xFF)
-    out += bytes(((0xFF + carry) & 0xFF,)) * pending
-    out += (low & MASK32).to_bytes(4, "big")
-    return bytes(out)
+        if rng < 0x1000000:  # below TOP; r >= 2^8 and freq >= 1: two bytes at most
+            rng = rng << 16 if rng < 0x10000 else rng << 8
+    r = np.array(rs, dtype=np.int64)
+    span = r * freqs
+    shifts = (span < TOP).astype(np.int64) + (span < TOTAL)
+    total = int(shifts.sum())
+    # a term's byte position never grows, so equal positions are runs; a
+    # term r * cum and its span r * freq fit in the range r * TOTAL <= rng,
+    # so a run's terms sum below the range it started with, 2^32
+    pos = total - np.cumsum(shifts) + shifts
+    firsts = np.flatnonzero(np.diff(pos, prepend=-1))
+    sums = np.add.reduceat(r * cums, firsts)
+    at = pos[firsts]
+    planes = np.zeros((4, total + 4), dtype=np.uint8)  # little-endian byte planes
+    for b in range(4):
+        planes[b, at + b] = sums >> (8 * b)
+    low = sum(int.from_bytes(plane.tobytes(), "little") for plane in planes)
+    return low.to_bytes(total + 5, "big")
 
 
 def _decode_slots(data: bytes, tables: Sequence[Sequence[int]], table_of: Iterable[int],
                   context: str, state: tuple[int, int, int] | None = None
-                  ) -> tuple[array, list[int], tuple[int, int, int]]:
+                  ) -> tuple[np.ndarray, list[int], tuple[int, int, int]]:
     """Decode one symbol per entry of `table_of` under the table whose
     starts are tables[entry], from the start of data or from a `state`
-    this function returned; returns the slot of every symbol, in stream
-    order the raw value that follows each escape slot, and the state."""
+    this function returned; returns the int64 slot of every symbol, in
+    stream order the raw value that follows each escape slot, and the
+    state."""
     if state is None:
         if len(data) < 5:
             raise FormatError(f"truncated {context}: range coder ran out of bytes")
         state = int.from_bytes(data[1:5], "big"), 5, MASK32  # byte 0: initial cache
     code, pos, rng = state
-    slots = array("H")
+    slots: list[int] = []
     raws: list[int] = []
+    append, search = slots.append, bisect_right
     try:
         for u in table_of:
             starts = tables[u]
-            r = rng >> TOTAL_BITS
-            i = bisect_right(starts, code // r) - 1
-            slots.append(i)
+            r = rng >> 16
+            i = search(starts, code // r) - 1
+            append(i)
             c0 = starts[i]
             code -= c0 * r
-            if c0 != ESCAPE_CUM:
+            if c0 != 0xFFFF:  # not the escape slot, which starts at TOTAL - 1
                 rng = r * (starts[i + 1] - c0)
-                while rng < TOP:
-                    code = (code << 8) | data[pos]
-                    pos += 1
-                    rng <<= 8
+                if rng < 0x1000000:  # below TOP; r >= 2^8 and a span >= 1: two bytes at most
+                    if rng < 0x10000:
+                        code = (code << 16) | (data[pos] << 8) | data[pos + 1]
+                        pos += 2
+                        rng <<= 16
+                    else:
+                        code = (code << 8) | data[pos]
+                        pos += 1
+                        rng <<= 8
                 continue
             # one-count spans: the rest of the escape slot (quotient 0), then
             # the raw value's two 16-bit halves (quotients below TOTAL); only
@@ -216,7 +232,7 @@ def _decode_slots(data: bytes, tables: Sequence[Sequence[int]], table_of: Iterab
             raws.append(v - ((v >> 31) << 32))
     except IndexError:
         raise FormatError(f"truncated {context}: range coder ran out of bytes") from None
-    return slots, raws, (code, pos, rng)
+    return np.array(slots, dtype=np.int64), raws, (code, pos, rng)
 
 
 def encode_symbols(symbols: np.ndarray, table_of: np.ndarray,
@@ -244,17 +260,16 @@ def encode_symbols(symbols: np.ndarray, table_of: np.ndarray,
         spans[0, at[escape] + 1] = raw >> TOTAL_BITS
         spans[0, at[escape] + 2] = raw & (TOTAL - 1)
         cums, freqs = spans
-    return _encode_spans(memoryview(cums.astype(np.uint16)), memoryview(freqs.astype(np.uint16)))
+    return _encode_spans(cums, freqs)
 
 
 def decode_symbols(data: bytes, table_of: np.ndarray, tables: Sequence[FrequencyTable],
                    context: str) -> np.ndarray:
     """Mirror of `encode_symbols`: one int64 symbol per entry of table_of."""
-    slots, raws, (_, pos, _) = _decode_slots(data, [t.starts for t in tables],
-                                             memoryview(table_of.astype(np.int64)), context)
+    slot, raws, (_, pos, _) = _decode_slots(data, [t.starts for t in tables],
+                                            table_of.tolist(), context)
     if pos != len(data):  # the encoder's flush ends exactly where the decoder stops reading
         raise FormatError(f"{context}: {len(data) - pos} bytes after the end of the code")
-    slot = np.frombuffer(slots, dtype=np.uint16).astype(np.int64)
     escape = slot == np.array([len(t.starts) - 1 for t in tables], dtype=np.int64)[table_of]
     out = np.array([t.k_min for t in tables], dtype=np.int64)[table_of] + slot
     out[escape] = raws
@@ -288,4 +303,4 @@ class RangeDecoder:
     def decode_symbol(self, table: FrequencyTable) -> int:
         (slot,), raws, self._state = _decode_slots(self.data, [table.starts], (0,),
                                                    self.context, self._state)
-        return raws[0] if raws else table.k_min + slot
+        return raws[0] if raws else table.k_min + int(slot)

@@ -13,7 +13,7 @@ import numpy as np
 
 import flowcodec.codec as C
 import flowcodec.tensor as T
-from flowcodec.rangecoder import TOTAL, _tables
+from flowcodec.rangecoder import MASK32, TOP, TOTAL, TOTAL_BITS, _tables
 from flowcodec.tensor import Tensor, no_grad
 
 
@@ -200,6 +200,56 @@ def cum(table) -> np.ndarray:
 def freqs(table) -> np.ndarray:
     """Integer frequency of every slot of a FrequencyTable, escape slot last."""
     return np.diff(cum(table))
+
+
+def reference_encode_symbols(symbols, table_of, tables) -> bytes:
+    """Oracle for `rangecoder.encode_symbols`: each symbol's span, or its
+    escape span and the raw value's two 16-bit halves, range-coded one
+    span at a time with a carry-propagating cache and a run of pending
+    0xFF bytes."""
+    cums, spans = [], []
+    starts_of = [cum(t) for t in tables]
+    for k, u in zip(np.asarray(symbols).tolist(), np.asarray(table_of).tolist()):
+        starts = starts_of[u]
+        slot = k - tables[u].k_min
+        if 0 <= slot < len(starts) - 2:
+            cums.append(int(starts[slot]))
+            spans.append(int(starts[slot + 1] - starts[slot]))
+        else:
+            raw = k & MASK32
+            cums += [TOTAL - 1, raw >> TOTAL_BITS, raw & (TOTAL - 1)]
+            spans += [1, 1, 1]
+    return reference_encode_spans(cums, spans)
+
+
+def reference_encode_spans(cums, freqs) -> bytes:
+    """Range-code the spans [cum, cum + freq) of TOTAL in order and flush."""
+    low, rng, cache, pending = 0, MASK32, 0, 0
+    out = bytearray()
+    for cum, freq in zip(cums, freqs):
+        r = rng >> TOTAL_BITS
+        low += r * cum
+        rng = r * freq
+        while rng < TOP:
+            # move the top byte of low out; a 0xFF byte waits in pending
+            # until a later carry decides whether it stays 0xFF or wraps to 0
+            if low < 0xFF000000 or low > MASK32:
+                carry = low >> 32
+                out.append((cache + carry) & 0xFF)
+                if pending:
+                    out += bytes(((0xFF + carry) & 0xFF,)) * pending
+                    pending = 0
+                cache = (low >> 24) & 0xFF
+            else:
+                pending += 1
+            low = (low << 8) & MASK32
+            rng <<= 8
+    # flush: the cache and pending bytes take the last carry, then low's four bytes
+    carry = low >> 32
+    out.append((cache + carry) & 0xFF)
+    out += bytes(((0xFF + carry) & 0xFF,)) * pending
+    out += (low & MASK32).to_bytes(4, "big")
+    return bytes(out)
 
 
 def largest_remainder_freqs(probs) -> np.ndarray:

@@ -594,3 +594,44 @@ def test_refusal_exit_code_and_message(case, quick_model_path, test_card, corpus
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err, err
     assert not out.exists()
+
+
+# Each command that runs long before it writes its one output: argv with
+# {model}, {card}, {corpus} and {out} placeholders, and the cli name of
+# the function that does the work.
+LONG_RUNS = {
+    "train": (("train", "--corpus", "{corpus}", "--out", "{out}", "--steps", "20"), "train"),
+    "finetune": (("finetune", "--model", "{model}", "--corpus", "{corpus}", "--lambda", "10",
+                  "--out", "{out}"), "finetune_deltas"),
+    "rd-sweep": (("rd-sweep", "--model", "{model}", "--corpus", "{corpus}", "--lambdas", "1",
+                  "--csv", "{out}"), "finetune_deltas"),
+    "reencode-loop": (("reencode-loop", "--model", "{model}", "--input", "{card}",
+                       "--deltas", "1.0", "--csv", "{out}"), "encode_image"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_RUNS)
+def test_output_directory_refused_before_the_work(case, quick_model_path, test_card,
+                                                  corpus_dir, tmp_path, monkeypatch, capsys):
+    """An existing directory as the output path exits 2 before any work
+    runs, and the directory is left as it was."""
+    argv, work = LONG_RUNS[case]
+    monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+    out = tmp_path / "out"
+    out.mkdir()
+    fields = dict(model=quick_model_path, card=test_card, corpus=corpus_dir, out=out)
+    assert run(*(a.format(**fields) for a in argv)) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("case", LONG_RUNS)
+def test_output_in_a_missing_directory_refused_before_the_work(case, quick_model_path,
+                                                               test_card, corpus_dir,
+                                                               tmp_path, monkeypatch):
+    argv, work = LONG_RUNS[case]
+    monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+    out = tmp_path / "missing" / "out"
+    fields = dict(model=quick_model_path, card=test_card, corpus=corpus_dir, out=out)
+    assert run(*(a.format(**fields) for a in argv)) == 2
+    assert not out.parent.exists()

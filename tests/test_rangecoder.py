@@ -5,7 +5,15 @@ import re
 
 import numpy as np
 import pytest
-from helpers import cum, freqs, largest_remainder_freqs, table_from_counts
+from helpers import (
+    cum,
+    freqs,
+    largest_remainder_freqs,
+    reference_encode_symbols,
+    table_from_counts,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcodec.errors import FormatError, NumericError
 from flowcodec.rangecoder import (
@@ -203,6 +211,48 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match="corrupt section z2") as info:
             decode_symbols(b"\xff" * (1 << 16), table_of, [table], "section z2")
         assert "ran out" not in str(info.value)
+
+
+class TestExactSumEncoder:
+    """encode_symbols writes the digits of one exact sum; the span-at-a-time
+    carry pipeline in helpers is its reference, byte for byte."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=12),
+                    min_size=1, max_size=4),
+           st.integers(0, 400), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+    def test_equals_the_carry_pipeline(self, rows, n, wild_share, seed):
+        """Random tables, symbols in, next to and far beyond each table's
+        range (escapes up to 32 bits)."""
+        rng = np.random.default_rng(seed)
+        tables = [build_freq_table(np.array(row), int(k))
+                  for row, k in zip(rows, rng.integers(-20, 21, size=len(rows)))]
+        k_mins = np.array([t.k_min for t in tables])
+        widths = np.array([len(t.starts) for t in tables])
+        table_of = rng.integers(0, len(tables), size=n)
+        symbols = k_mins[table_of] + rng.integers(-2, widths[table_of] + 2)
+        wild = rng.random(n) < wild_share
+        symbols[wild] = rng.integers(RAW_MIN, RAW_MAX, size=int(wild.sum()), endpoint=True)
+        payload = encode_symbols(symbols, table_of, tables)
+        assert payload == reference_encode_symbols(symbols, table_of, tables)
+        assert np.array_equal(decode_symbols(payload, table_of, tables, "oracle"), symbols)
+
+    def test_empty_stream(self):
+        table = build_freq_table(np.array([0.5, 0.5]), 0)
+        empty = np.zeros(0, dtype=np.int64)
+        assert encode_symbols(empty, empty, [table]) == reference_encode_symbols(
+            empty, empty, [table]) == bytes(5)
+
+    @pytest.mark.parametrize("counts, symbol", [([TOTAL - 1, 1], 0), ([1, TOTAL - 2, 1], 1)])
+    def test_longest_runs_without_a_shift(self, counts, symbol):
+        """Spans of 65535 (and 65534 above a one-count start) shrink the
+        range slowest: ~363k of them share one byte position."""
+        table = table_from_counts(0, counts)
+        symbols = np.full(400_000, symbol, dtype=np.int64)
+        table_of = np.zeros(symbols.size, dtype=np.int64)
+        payload = encode_symbols(symbols, table_of, [table])
+        assert payload == reference_encode_symbols(symbols, table_of, [table])
+        assert np.array_equal(decode_symbols(payload, table_of, [table], "run"), symbols)
 
 
 def golden_stream():
