@@ -450,7 +450,7 @@ def _conditional_section(mu: np.ndarray, sigma: np.ndarray, delta: float, p_thre
     coded = np.flatnonzero(~skip)
     x = mu[coded] / delta
     if not np.all(np.abs(x) <= RAW_MAX):  # NaN fails too
-        raise NumericError(f"conditional means reach {np.abs(x).max()!r} steps, "
+        raise NumericError(f"conditional means reach {float(np.abs(x).max())!r} steps, "
                            "beyond the 32-bit symbol range")
     center = np.round(x)
     offset = x - center
@@ -486,15 +486,15 @@ def _walk(model: FlowModel, header: Header, z: LatentSet, present: tuple[str, ..
     level) once its skipped elements hold their mean symbol; every element
     of a section not present holds its mean symbol.  An encoder's walk
     stops after its last section; a decoder's walks every level and
-    returns the chain with every level but the finest inverted, and a
-    step that the prior or the cells cannot take is a format error.
+    returns the chain with every level but the finest inverted.  A step
+    that the prior or the cells cannot take names its section: a numeric
+    error to an encoder, a format error to a decoder.
     """
 
     def uncodable(name: str, step: str, exc: NumericError) -> Exception:
-        if not decoding:
-            return exc
         # the encoder fails on the same elements, so no stream codes them
-        return FormatError(f"section {_SECTION_LABELS[name]}: {step} cannot be coded ({exc})")
+        kind = FormatError if decoding else NumericError
+        return kind(f"section {_SECTION_LABELS[name]}: {step} cannot be coded ({exc})")
 
     spec, cut = header.spec, header.partial_count
     flat = z.z0.reshape(-1)

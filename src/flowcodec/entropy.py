@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .params import ParamStore
 from .quantize import round_to_grid
 from .tensor import Tensor
 
@@ -127,36 +128,29 @@ class FactorizedPrior:
     +-PRIOR_INIT_SCALE.  Initialization is symmetric
     (zero biases and gates), so F(0) = 0.5 exactly at init, with a small
     seeded jitter on the matrices to keep hidden units distinguishable.
+
+    The prior adds its parameters to the model's `ParamStore` as it
+    creates them, as `prior.stage{k}.matrix`, `.bias` and `.gate`.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, dtype):
+    def __init__(self, store: ParamStore, channels: int, rng: np.random.Generator, dtype):
         self.channels = channels
         widths = [1] + [PRIOR_WIDTH] * (PRIOR_DEPTH - 1) + [1]
         scale = PRIOR_INIT_SCALE ** (1.0 / PRIOR_DEPTH)
-        self.matrices: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        self.gates: list[Tensor] = []
+        self.matrices, self.biases, self.gates = [], [], []
+
+        def add(k: int, part: str, value: np.ndarray) -> Tensor:
+            return store.add(f"prior.stage{k}.{part}",
+                             Tensor(value.astype(dtype), requires_grad=True))
+
         for k in range(PRIOR_DEPTH):
             w_in, w_out = widths[k], widths[k + 1]
             base = np.log(np.expm1(1.0 / scale / w_in))
             raw = base + 0.02 * rng.standard_normal((channels, w_out, w_in))
-            self.matrices.append(Tensor(raw.astype(dtype), requires_grad=True))
-            self.biases.append(
-                Tensor(np.zeros((channels, w_out, 1), dtype=dtype), requires_grad=True)
-            )
+            self.matrices.append(add(k, "matrix", raw))
+            self.biases.append(add(k, "bias", np.zeros((channels, w_out, 1))))
             if k < PRIOR_DEPTH - 1:
-                self.gates.append(
-                    Tensor(np.zeros((channels, w_out, 1), dtype=dtype), requires_grad=True)
-                )
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for k in range(PRIOR_DEPTH):
-            out.append((f"stage{k}.matrix", self.matrices[k]))
-            out.append((f"stage{k}.bias", self.biases[k]))
-            if k < PRIOR_DEPTH - 1:
-                out.append((f"stage{k}.gate", self.gates[k]))
-        return out
+                self.gates.append(add(k, "gate", np.zeros((channels, w_out, 1))))
 
     def cdf(self, v) -> Tensor:
         """Evaluate F_c elementwise on (channels, m) arguments."""

@@ -146,8 +146,6 @@ class ResNet:
 
     def __init__(self, store: ParamStore, name: str, in_ch: int, out_ch: int,
                  blocks: int, hidden: int, rng: np.random.Generator, dtype):
-        self.blocks = blocks
-
         def he(shape, fan_in):
             return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
@@ -255,6 +253,10 @@ class FlowModel:
     continued features used for conditioning); `inverse` is its exact
     functional inverse; both carry gradients.
 
+    Each part adds its own parameters to `params` as it creates them: the
+    levels' `ResNet`s in level order, then the `FactorizedPrior`.  That
+    order is the parameter blob's.  `base_channels` counts z0's channels.
+
     `model_id` hashes the model once per set of parameter arrays: the
     id is cached with the arrays it hashed, and those arrays become
     read-only, so an in-place write raises instead of leaving a stale
@@ -280,18 +282,11 @@ class FlowModel:
                                          config.blocks, config.hidden, i == LEVELS - 1,
                                          struct_rng, weight_rng, dtype))
             c = self.levels[-1].emit  # a non-base level continues as many as it emits
-        self.latent_channels = [level.emit for level in self.levels]
-
-        self.prior = FactorizedPrior(self.latent_channels[-1], weight_rng, dtype)
-        for name, tensor in self.prior.parameters():
-            self.params.add(f"prior.{name}", tensor)
+        self.base_channels = c
+        self.prior = FactorizedPrior(self.params, c, weight_rng, dtype)
         self._id: tuple[list[np.ndarray], bytes] | None = None  # see model_id
 
     # -- shapes ---------------------------------------------------------------
-
-    @property
-    def base_channels(self) -> int:
-        return self.latent_channels[-1]
 
     @property
     def dtype(self):

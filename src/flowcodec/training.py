@@ -40,7 +40,7 @@ from .tensor import Tensor, no_grad
 
 PSNR_CAP_DB = 99.0
 NLL_EVERY = 10  # after warm-up, train() evaluates nll on steps divisible by this
-TUNING_LR = 0.1  # Adam's learning rate in finetune_deltas, halved once on divergence
+TUNING_LR = 0.1  # Adam's learning rate in finetune_deltas
 
 
 @dataclass
@@ -376,8 +376,9 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
     gradient and other threads may go on coding with it.  Steps are
     optimized as log-values (positivity), with gradients flowing through
     the straight-through grid rounding and the bin-probability formulas.
-    On divergence the learning rate is halved once; a second failure
-    aborts.  The result is snapped to the steps a header can carry.
+    One Adam pass runs at TUNING_LR; a non-finite loss, or non-finite
+    steps after the last update, raises NumericError.  The result is
+    snapped to the steps a header can carry.
     """
     if not 0 < lam < np.inf:  # NaN fails too
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
@@ -394,39 +395,31 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
         zs, hs = frozen.forward(x)
         cached.append((x, zs, _forward_conditionals(frozen, hs)))
 
-    def attempt(rate_lr: float) -> QuantSpec | None:
-        log_steps = [Tensor(np.array(0.0), requires_grad=True),
-                     Tensor(np.array(0.0), requires_grad=True),
-                     Tensor(np.zeros(frozen.base_channels), requires_grad=True)]
-        opt = Adam(log_steps, lr=rate_lr)
-        for _ in range(steps):
-            for p in log_steps:
-                p.zero_grad()
-            total = None
-            for x, zs, conditionals in cached:
-                d2, d1, d0 = (T.exp(p) for p in log_steps)
-                z = LatentSet(round_to_grid(zs.z2, d2), round_to_grid(zs.z1, d1),
-                              round_to_grid(zs.z0, d0.reshape(1, -1, 1, 1)))
-                rate = latent_rate_bits(z, frozen.prior, conditionals, (d2, d1, d0))
-                err = _squared_error(x, frozen.inverse(z))
-                term = T.add(rate, T.mul(err, lam))
-                total = term if total is None else T.add(total, term)
-            loss = T.div(total, float(len(cached)))
-            if not np.isfinite(loss.item()):
-                return None
-            loss.backward()
-            opt.step()
-        if not all(np.all(np.isfinite(p.data)) for p in log_steps):
-            return None
-        # QuantSpec snaps each step to its grid; a step tuned past a grid's end takes the end
-        ends = [LEVEL_STEP_INDICES, LEVEL_STEP_INDICES, BASE_STEP_INDICES]
-        d2, d1, d0 = (np.clip(np.exp(p.data), grid_step(lo), grid_step(hi))
-                      for p, (lo, hi) in zip(log_steps, ends))
-        return QuantSpec(float(d2), float(d1), d0)
-
-    result = attempt(TUNING_LR)
-    if result is None:
-        result = attempt(TUNING_LR / 2.0)
-    if result is None:
-        raise NumericError("step tuning diverged even after halving the learning rate")
-    return result
+    log_steps = [Tensor(np.array(0.0), requires_grad=True),
+                 Tensor(np.array(0.0), requires_grad=True),
+                 Tensor(np.zeros(frozen.base_channels), requires_grad=True)]
+    opt = Adam(log_steps, lr=TUNING_LR)
+    for step in range(steps):
+        for p in log_steps:
+            p.zero_grad()
+        total = None
+        for x, zs, conditionals in cached:
+            d2, d1, d0 = (T.exp(p) for p in log_steps)
+            z = LatentSet(round_to_grid(zs.z2, d2), round_to_grid(zs.z1, d1),
+                          round_to_grid(zs.z0, d0.reshape(1, -1, 1, 1)))
+            rate = latent_rate_bits(z, frozen.prior, conditionals, (d2, d1, d0))
+            err = _squared_error(x, frozen.inverse(z))
+            term = T.add(rate, T.mul(err, lam))
+            total = term if total is None else T.add(total, term)
+        loss = T.div(total, float(len(cached)))
+        if not np.isfinite(loss.item()):
+            raise NumericError(f"step tuning diverged: non-finite loss at step {step}")
+        loss.backward()
+        opt.step()
+    if not all(np.all(np.isfinite(p.data)) for p in log_steps):
+        raise NumericError("step tuning diverged: non-finite steps after the last update")
+    # QuantSpec snaps each step to its grid; a step tuned past a grid's end takes the end
+    ends = [LEVEL_STEP_INDICES, LEVEL_STEP_INDICES, BASE_STEP_INDICES]
+    d2, d1, d0 = (np.clip(np.exp(p.data), grid_step(lo), grid_step(hi))
+                  for p, (lo, hi) in zip(log_steps, ends))
+    return QuantSpec(float(d2), float(d1), d0)

@@ -2,15 +2,18 @@
 
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import make_desk_corpus
+from helpers import make_desk_corpus, perturb_model
 
 import flowcodec.cli as cli
 from flowcodec.cli import main
-from flowcodec.flow import FlowModel
+from flowcodec.flow import FlowConfig, FlowModel
 from flowcodec.imageio import read_ppm, write_ppm
+
+DESK_MODEL = Path(__file__).parent.parent / "perfbench" / "model" / "desk.nfc"
 
 
 @pytest.fixture()
@@ -113,6 +116,26 @@ class TestEncodeDecode:
         assert "base channels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_step_file_exit_2(self, quick_model_path, test_card, tmp_path, capsys):
+        deltas, out = tmp_path / "steps.txt", tmp_path / "e.nfb"
+        deltas.write_text("\n \n")
+        assert run("encode", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", deltas, "--out", out) == 2
+        assert "empty step file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_uncodable_conditional_step_exit_5(self, test_card, tmp_path, capsys):
+        """At delta1 = 2^-40 the trained desk model's z1 means leave the
+        32-bit symbol range; the message names the section."""
+        from flowcodec.entropy import QuantSpec
+        deltas, out = tmp_path / "steps.txt", tmp_path / "u.nfb"
+        deltas.write_text("\n".join(QuantSpec(1.0, 2.0 ** -40, np.ones(48)).to_lines()))
+        assert run("encode", "--model", DESK_MODEL, "--input", test_card,
+                   "--deltas", deltas, "--out", out) == 5
+        assert "error: section z1: step 9.094947017729282e-13 cannot be coded" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["-1", "0", "nan"])
     def test_non_positive_step_exit_2(self, quick_model_path, test_card, tmp_path, step):
         out = tmp_path / "z.nfb"
@@ -124,7 +147,6 @@ class TestEncodeDecode:
         bs = tmp_path / "c.nfb"
         run("encode", "--model", quick_model_path, "--input", test_card,
             "--deltas", "1.0", "--out", bs)
-        from flowcodec.flow import FlowConfig
         other = tmp_path / "other.nfc"
         FlowModel(FlowConfig(in_channels=3, steps=2, blocks=1, hidden=16, seed=12345)).save(other)
         assert run("decode", "--model", other, "--bitstream", bs,
@@ -370,6 +392,15 @@ class TestTrain:
                    "--config", cfg, "--hidden", 8) == 2
         assert not out.exists()
 
+    def test_config_line_without_equals_exit_2(self, corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps=2\nlambda_rd 5\n")
+        out = tmp_path / "m.nfc"
+        assert run("train", "--corpus", corpus_dir, "--out", out,
+                   "--config", cfg, "--hidden", 8) == 2
+        assert "train.cfg:2: expected key=value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_steps_writes_the_untrained_model(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "m.nfc"
         assert run("train", "--corpus", corpus_dir, "--out", out, "--steps", 0,
@@ -418,6 +449,19 @@ class TestFinetuneAndSweep:
         from flowcodec.entropy import QuantSpec
         spec = QuantSpec.from_lines(out.read_text().splitlines())
         assert spec.delta2 > 0
+
+    def test_finetune_overflowing_lambda_exit_5(self, corpus_dir, tmp_path, capsys):
+        """At lambda = 1e308 the weighted distortion of a strongly perturbed
+        model overflows in the first loss: exit 5, no step file."""
+        model = FlowModel(FlowConfig(in_channels=3, steps=2, blocks=1, hidden=16, seed=42))
+        perturb_model(model, np.random.default_rng(777), scale=1.0)
+        model.save(tmp_path / "loud.nfc")
+        out = tmp_path / "steps.txt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("finetune", "--model", tmp_path / "loud.nfc", "--corpus", corpus_dir,
+                       "--lambda", "1e308", "--steps", 10, "--out", out) == 5
+        assert "step tuning diverged: non-finite loss at step 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rd_sweep_csv(self, quick_model_path, corpus_dir, tmp_path, capsys):
         csv = tmp_path / "rd.csv"

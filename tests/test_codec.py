@@ -642,6 +642,19 @@ class TestContainer:
         with pytest.raises(FormatError):
             decode_image(model, bytes(blob))
 
+    @pytest.mark.parametrize("count", [0, len(C.LEVEL_MASKS) + 1])
+    def test_section_count_outside_the_masks_rejected(self, model, image, count):
+        """A CRC-valid header declaring no section, or one more than the
+        level masks know, is refused by name, by the model-free tools and
+        by the decoder."""
+        blob = bytearray(encode_image(model, image, spec_for(model, 1.0)))
+        _, start = C._parse_header(bytes(blob))
+        struct.pack_into("<B", blob, struct.calcsize("<4sB16sIIHd"), count)
+        struct.pack_into("<I", blob, start - 4, zlib.crc32(bytes(blob[: start - 4])))
+        for read in (inspect_bitstream, lambda b: decode_image(model, b)):
+            with pytest.raises(FormatError, match=f"section count {count} lies outside 1 to 4"):
+                read(bytes(blob))
+
     @pytest.mark.parametrize("step,match", [
         (1e-300, "bad header steps"), (5e-324, "bad header steps"), (2.0 ** -40, "section z1"),
     ], ids=["1e-300", "5e-324", "2^-40"])
@@ -853,6 +866,32 @@ DESK_MODEL = Path(__file__).parent.parent / "perfbench" / "model" / "desk.nfc"
 def desk_model():
     """The committed benchmark model: hidden 16, 2 steps, 3 channels."""
     return FlowModel.load(DESK_MODEL)
+
+
+class TestEncoderRefusals:
+    def test_conditional_means_beyond_32_bits_name_the_section(self, desk_model):
+        """At delta1 = 2^-40 the trained model's z1 means lie beyond the
+        32-bit symbol range.  The encoder's error names the section and
+        the step, as the decoder's does, and prints the mean as a plain
+        number."""
+        image = make_desk_corpus(np.random.default_rng(2000), 1, 32)[0]
+        spec = QuantSpec(1.0, 2.0 ** -40, np.ones(desk_model.base_channels))
+        with pytest.raises(NumericError) as info:
+            encode_image(desk_model, image, spec)
+        assert re.fullmatch(rf"section z1: step {2.0 ** -40!r} cannot be coded \(conditional "
+                            r"means reach \d+\.\d+ steps, beyond the 32-bit symbol range\)",
+                            str(info.value)), str(info.value)
+
+    def test_escapes_beyond_32_bits_refused(self):
+        """A fresh desk-architecture model's conditioning heads start at
+        zero, so every z1 mean is 0 and fits; at delta1 = 2^-40 the z1
+        symbols themselves escape past 32 bits."""
+        model = FlowModel(FlowConfig(in_channels=3, steps=2, blocks=1, hidden=16, seed=42))
+        image = make_desk_corpus(np.random.default_rng(2000), 1, 32)[0]
+        spec = QuantSpec(1.0, 2.0 ** -40, np.ones(model.base_channels))
+        with pytest.raises(NumericError, match=r"escaped symbols span \[-?\d+, -?\d+\], "
+                                               "beyond 32 bits"):
+            encode_image(model, image, spec)
 
 
 def openblas_dynamic_arch() -> bool:

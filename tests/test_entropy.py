@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import gradcheck, skip_boundary_sigma
+from helpers import gradcheck, named_params, skip_boundary_sigma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from flowcodec.entropy import (
     step_index,
 )
 from flowcodec.flow import LatentSet
+from flowcodec.params import ParamStore
 from flowcodec.tensor import Tensor, sigmoid_np
 
 
@@ -46,10 +47,22 @@ def eval_chain_oracle(prior: FactorizedPrior, v: np.ndarray) -> np.ndarray:
 
 @pytest.fixture
 def prior():
-    return FactorizedPrior(4, np.random.default_rng(40), np.float64)
+    return FactorizedPrior(ParamStore(), 4, np.random.default_rng(40), np.float64)
 
 
 class TestFactorizedPrior:
+    def test_registers_its_parameters_in_stage_order(self):
+        """Each stage adds matrix, bias and, below the last, gate to the
+        store, in the order the model file holds them."""
+        store = ParamStore()
+        prior = FactorizedPrior(store, 3, np.random.default_rng(40), np.float64)
+        expected = [f"prior.stage{k}.{part}" for k in range(E.PRIOR_DEPTH)
+                    for part in ("matrix", "bias", "gate")[: 3 if k < E.PRIOR_DEPTH - 1 else 2]]
+        assert [name for name, _ in named_params(store)] == expected
+        held = [t for k in range(E.PRIOR_DEPTH)
+                for t in (prior.matrices[k], prior.biases[k], *prior.gates[k : k + 1])]
+        assert all(a is b for a, b in zip(store.tensors(), held, strict=True))
+
     def test_symmetric_init_cdf_at_zero(self, prior):
         v = Tensor(np.zeros((4, 1)))
         assert np.array_equal(prior.cdf(v).data, np.full((4, 1), 0.5))
@@ -88,7 +101,7 @@ class TestFactorizedPrior:
 
     def test_monotone_after_training_steps(self):
         # positivity is structural: arbitrary parameter values keep F increasing
-        prior = FactorizedPrior(2, np.random.default_rng(42), np.float64)
+        prior = FactorizedPrior(ParamStore(), 2, np.random.default_rng(42), np.float64)
         for t in prior.matrices + prior.biases + prior.gates:
             t.data = t.data + np.random.default_rng(43).normal(size=t.data.shape)
         v = np.linspace(-50, 50, 500)
@@ -180,7 +193,7 @@ class TestRate:
 
     def test_total_matches_numpy_decomposition(self):
         rng = np.random.default_rng(47)
-        prior = FactorizedPrior(8, rng, np.float64)
+        prior = FactorizedPrior(ParamStore(), 8, rng, np.float64)
         z0 = rng.normal(size=(2, 8, 2, 2))
         z1 = rng.normal(size=(2, 4, 4, 4))
         z2 = rng.normal(size=(2, 2, 8, 8))
@@ -207,7 +220,8 @@ class TestRate:
 
     def test_differentiable_in_all_arguments(self):
         rng = np.random.default_rng(48)
-        prior = FactorizedPrior(2, rng, np.float64)
+        store = ParamStore()
+        prior = FactorizedPrior(store, 2, rng, np.float64)
         z0 = Tensor(rng.normal(size=(1, 2, 2, 2)), requires_grad=True)
         z1 = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
         z2 = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
@@ -215,7 +229,7 @@ class TestRate:
         sig1 = Tensor(np.abs(rng.normal(size=(1, 1, 4, 4))) + 0.5, requires_grad=True)
         d1 = Tensor(np.array(0.7), requires_grad=True)
         d0 = Tensor(np.array([0.5, 1.5]), requires_grad=True)
-        params = [z0, z1, z2, mu1, sig1, d1, d0] + [p for _, p in prior.parameters()]
+        params = [z0, z1, z2, mu1, sig1, d1, d0] + store.tensors()
 
         def build():
             return latent_rate_bits(

@@ -427,6 +427,13 @@ class TestModelFile:
         with pytest.raises(ValueError, match=field):
             FlowConfig(**{field: limit + 1}).validate()
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("seed", 2 ** 64, "64 bits"), ("seed", -1, "64 bits"), ("dtype", "float16", "float16"),
+    ])
+    def test_config_seed_and_dtype_checked(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            FlowConfig(**{field: value}).validate()
+
     def test_failed_save_writes_nothing(self, model, tmp_path, monkeypatch):
         def unpackable():
             raise struct.error("argument out of range")

@@ -57,6 +57,15 @@ class TestPpm:
         with pytest.raises(FormatError, match="8-bit"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("raw", [b"P6\n2 x\n255\n" + bytes(6), b"P6\n2 1\n",
+                                     b"P6 -2 1 255\n" + bytes(6)],
+                             ids=["letter-height", "no-maxval", "negative-width"])
+    def test_rejects_malformed_p6_header(self, tmp_path, raw):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="not a binary"):
+            read_image(path)
+
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"GARBAGE")

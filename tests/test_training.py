@@ -14,6 +14,7 @@ from flowcodec.codec import encode_image
 from flowcodec.entropy import (
     BASE_STEP_INDICES, QuantSpec, grid_step, logistic_bin_prob, mean_symbol,
 )
+from flowcodec.errors import NumericError
 from flowcodec.flow import DecoderChain, FlowConfig, FlowLevel, FlowModel
 from flowcodec.tensor import Tensor
 from flowcodec.training import (
@@ -64,6 +65,12 @@ class TestTrainConfig:
         path = tmp_path / "twice.cfg"
         path.write_text("lr=0.5\nsteps=3\nlr=0.001\n")
         with pytest.raises(ValueError, match=r"twice\.cfg:3: repeated config key 'lr'"):
+            TrainConfig.from_file(path)
+
+    def test_line_without_equals_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bare.cfg"
+        path.write_text("# comment\nsteps=3\nlambda_rd 5\n")
+        with pytest.raises(ValueError, match=r"bare\.cfg:3: expected key=value, got 'lambda_rd 5'"):
             TrainConfig.from_file(path)
 
     def test_validation(self):
@@ -410,6 +417,20 @@ class TestTrainLoop:
         digest = hashlib.sha256(path.read_bytes() + model.to_bytes()).hexdigest()
         assert digest == "c162392f9928f44ae0c62f7c69d94598aaab0f15ac7d9b376212e54532ca945d"
 
+    def test_overflowing_rate_weight_stops_at_step_0(self, tmp_path):
+        """At lambda_rd = 1e308 the weighted distortion overflows in the
+        first loss; training raises before any update and the metrics file
+        holds only its header."""
+        model = tiny_model(seed=24)
+        raw = model.to_bytes()
+        cfg = TrainConfig(batch_size=2, steps=3, lambda_rd=1e308, seed=13, patch=16)
+        metrics = tmp_path / "metrics.csv"
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="non-finite at step 0"):
+            train(model, tiny_corpus(np.random.default_rng(12), n=4), cfg, metrics_path=metrics)
+        assert model.to_bytes() == raw
+        assert metrics.read_text() == "step,nll,rate,distortion,psnr\n"
+
 
 def nan_pixel(img):
     img = img.copy()
@@ -565,6 +586,24 @@ class TestFinetuneDeltas:
             assert t.grad is None and t.requires_grad, name
         assert model.to_bytes() == raw
         assert model.model_id == model_id
+
+    def test_one_pass_raises_on_a_non_finite_loss(self, monkeypatch):
+        """At lambda = 1e308 the weighted distortion overflows within the
+        first steps.  Tuning builds one optimizer, at TUNING_LR, and raises
+        NumericError: no second pass runs at a lower rate."""
+        rates = []
+
+        def spy(params, lr):
+            rates.append(lr)
+            return Adam(params, lr)
+        monkeypatch.setattr(training, "Adam", spy)
+        model = tiny_model(seed=26)
+        perturb_model(model, np.random.default_rng(105), 0.01)
+        images = tiny_corpus(np.random.default_rng(16), n=2, size=16)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="step tuning diverged: non-finite loss"):
+            finetune_deltas(model, images, lam=1e308, steps=10)
+        assert rates == [training.TUNING_LR]
 
     def test_rejects_bad_arguments(self):
         model = tiny_model(seed=27)
