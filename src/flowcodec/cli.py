@@ -8,10 +8,10 @@ could not write before they start.  CSV output always starts
 with a header row and uses dot decimals regardless of locale.
 
 Exit codes: 0 success, 2 usage (an unreadable path too), 3 malformed
-file, 4 model mismatch, 5 numeric failure.  A failure's code comes only
-from its exception type, through `EXIT_CODES`; commands raise the
-library's own types.  The NFC_SEED environment variable overrides config
-seeds.
+file, 4 model mismatch, 5 numeric failure.  Commands return nothing:
+`main` returns 0 after one, and a failure's code comes only from its
+exception type, through `EXIT_CODES`; commands raise the library's own
+types.  The NFC_SEED environment variable overrides config seeds.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .flow import FlowConfig, FlowModel
 from .imageio import read_image, write_ppm
 from .training import TrainConfig, bpp, finetune_deltas, psnr, train
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_MODEL = 4
@@ -83,7 +82,7 @@ def _corpus_images(directory: str) -> list[np.ndarray]:
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     _check_writable(args.out)
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     for name in ("steps", "lambda_rd", "seed", "patch", "batch_size"):
@@ -100,20 +99,18 @@ def cmd_train(args) -> int:
     final = f"; final loss {history[-1]['loss']:.2f}" if history else ""
     print(f"trained {cfg.steps} steps{final}; model id {model.model_id.hex()}")
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def cmd_finetune(args) -> int:
+def cmd_finetune(args) -> None:
     _check_writable(args.out)
     model = FlowModel.load(args.model)
     images = _corpus_images(args.corpus)
     spec = finetune_deltas(model, images, args.lambda_rd, steps=args.steps)
     Path(args.out).write_text("\n".join(spec.to_lines()) + "\n")
     print(f"wrote {args.out} (delta2={spec.delta2:.6g}, delta1={spec.delta1:.6g})")
-    return EXIT_OK
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     model = FlowModel.load(args.model)
     image = read_image(args.input)
     spec = _load_deltas(args.deltas, model)
@@ -124,27 +121,24 @@ def cmd_encode(args) -> int:
     if args.verify:
         out = decode_image(model, blob)
         print(f"verify psnr: {psnr(image, out):.2f} dB")
-    return EXIT_OK
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> None:
     model = FlowModel.load(args.model)
     blob = Path(args.bitstream).read_bytes()
     out = decode_image(model, blob, levels=float(args.levels) if args.levels else None)
     write_ppm(args.out, out)
     print(f"wrote {args.out} ({out.shape[2]}x{out.shape[1]})")
-    return EXIT_OK
 
 
-def cmd_truncate(args) -> int:
+def cmd_truncate(args) -> None:
     blob = Path(args.bitstream).read_bytes()
     target = float(args.levels)
     Path(args.out).write_bytes(truncate_bitstream(blob, target))
     print(f"wrote {args.out} (levels={target})")
-    return EXIT_OK
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     info = inspect_bitstream(Path(args.bitstream).read_bytes())
     for key in ("model_id", "original_size", "padded_size", "channels",
                 "levels", "partial_fraction", "p_thresh", "delta2", "delta1"):
@@ -154,10 +148,9 @@ def cmd_inspect(args) -> int:
     for name, size in info["section_bytes"].items():
         print(f"section {name}: {size} bytes")
     print(f"total: {info['total_bytes']} bytes")
-    return EXIT_OK
 
 
-def cmd_reencode_loop(args) -> int:
+def cmd_reencode_loop(args) -> None:
     if args.iters < 0:
         raise ValueError(f"--iters must be >= 0, got {args.iters}")
     _check_writable(args.csv)
@@ -169,29 +162,26 @@ def cmd_reencode_loop(args) -> int:
         keep_dir.mkdir(parents=True, exist_ok=True)
 
     h, w = image.shape[1], image.shape[2]
-    rows = []
     blob = encode_image(model, image, spec)
     decoded = decode_image(model, blob)
-    reference = None
-    for iteration in range(args.iters + 1):
-        if iteration > 0:
-            blob = encode_image(model, decoded, spec)
-            if keep_dir:
-                path = keep_dir / f"iter{iteration:03d}.nfb"
-                path.write_bytes(blob)
-                blob_back = path.read_bytes()
-                try:
-                    inspect_bitstream(blob_back)
-                except FormatError as exc:
-                    raise FormatError(
-                        f"intermediate bitstream corrupt at iteration {iteration}: {exc}"
-                    ) from exc
-                blob = blob_back
-            if reference is None:
-                reference = blob
-            elif blob != reference:
-                raise NumericError(f"re-encoded bitstream diverged at iteration {iteration}")
-            decoded = decode_image(model, blob)
+    rows = [(0, bpp(len(blob), h, w), psnr(image, decoded))]
+    for iteration in range(1, args.iters + 1):
+        blob = encode_image(model, decoded, spec)
+        if keep_dir:
+            path = keep_dir / f"iter{iteration:03d}.nfb"
+            path.write_bytes(blob)
+            blob = path.read_bytes()
+            try:
+                inspect_bitstream(blob)
+            except FormatError as exc:
+                raise FormatError(
+                    f"intermediate bitstream corrupt at iteration {iteration}: {exc}"
+                ) from exc
+        if iteration == 1:
+            reference = blob  # every later re-encode must match the first
+        elif blob != reference:
+            raise NumericError(f"re-encoded bitstream diverged at iteration {iteration}")
+        decoded = decode_image(model, blob)
         rows.append((iteration, bpp(len(blob), h, w), psnr(image, decoded)))
 
     with open(args.csv, "w") as fh:
@@ -200,10 +190,9 @@ def cmd_reencode_loop(args) -> int:
             fh.write(f"{it},{rate!r},{quality!r}\n")
     print(f"wrote {args.csv}: {len(rows)} rows, bpp {rows[0][1]:.4f}, "
           f"psnr spread {max(r[2] for r in rows) - min(r[2] for r in rows):.2e} dB")
-    return EXIT_OK
 
 
-def cmd_rd_sweep(args) -> int:
+def cmd_rd_sweep(args) -> None:
     if args.calibration_images < 1:
         raise ValueError(f"--calibration-images must be >= 1, got {args.calibration_images}")
     _check_writable(args.csv)
@@ -231,7 +220,6 @@ def cmd_rd_sweep(args) -> int:
             d0 = ";".join(repr(float(v)) for v in spec.delta0)
             fh.write(f"{lam!r},{rate!r},{quality!r},{spec.delta2!r},{spec.delta1!r},{d0}\n")
     print(f"wrote {args.csv}")
-    return EXIT_OK
 
 
 # -- argument plumbing ------------------------------------------------------------
@@ -320,10 +308,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

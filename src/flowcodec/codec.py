@@ -487,8 +487,8 @@ def _walk(model: FlowModel, header: Header, z: LatentSet, present: tuple[str, ..
     of a section not present holds its mean symbol.  An encoder's walk
     stops after its last section; a decoder's walks every level and
     returns the chain with every level but the finest inverted.  A step
-    that the prior or the cells cannot take names its section: a numeric
-    error to an encoder, a format error to a decoder.
+    that the prior, the cells or the coder cannot take names its section:
+    a numeric error to an encoder, a format error to a decoder.
     """
 
     def uncodable(name: str, step: str, exc: NumericError) -> Exception:
@@ -500,9 +500,9 @@ def _walk(model: FlowModel, header: Header, z: LatentSet, present: tuple[str, ..
     flat = z.z0.reshape(-1)
     try:
         section = _base_section(model, header.model_id, spec, header.base_ranges, flat.size)
+        out = {"z0": code("z0", section, flat)}
     except NumericError as exc:
         raise uncodable("z0", "the base steps", exc) from None
-    out = {"z0": code("z0", section, flat)}
     chain = None
     for latent, delta, parts in ((z.z1, spec.delta1, (("z1", 0, z.z1.size),)),
                                  (z.z2, spec.delta2, (("z2a", 0, cut), ("z2b", cut, z.z2.size)))):
@@ -517,9 +517,9 @@ def _walk(model: FlowModel, header: Header, z: LatentSet, present: tuple[str, ..
                 continue
             try:
                 section = _conditional_section(mu, sigma, delta, header.p_thresh, lo, hi, flat)
+                out[name] = code(name, section, flat)
             except NumericError as exc:
                 raise uncodable(name, f"step {delta!r}", exc) from None
-            out[name] = code(name, section, flat)
     return out, chain
 
 
@@ -578,15 +578,6 @@ def encode_image(model: FlowModel, image: np.ndarray, spec: QuantSpec,
     )
 
 
-def _check_against_model(header: Header, model: FlowModel) -> None:
-    """The image channels, from which every other header count follows."""
-    if header.channels != model.config.in_channels:
-        raise FormatError(
-            f"header declares {header.channels} image channels, model has "
-            f"{model.config.in_channels}"
-        )
-
-
 @no_grad()
 def _decode(model: FlowModel, blob: bytes,
             levels: float | None) -> tuple[LatentSet, Header, DecoderChain]:
@@ -600,7 +591,9 @@ def _decode(model: FlowModel, blob: bytes,
             f"bitstream was produced by model {header.model_id.hex()}, "
             f"decoding with {model.model_id.hex()}"
         )
-    _check_against_model(header, model)
+    if header.channels != model.config.in_channels:  # every other header count follows
+        raise FormatError(f"header declares {header.channels} image channels, "
+                          f"model has {model.config.in_channels}")
     if levels is None:
         levels = header.level_mask
     if levels > header.level_mask:

@@ -111,7 +111,10 @@ class QuantSpec:
             raise ValueError("empty step file")
         count = int(body[0])
         vals = [float(v) for v in body[1:]]
-        if len(vals) != count or count < 3:
+        if count < 3:
+            raise ValueError(f"step file declares {count} values; it needs at least 3 "
+                             "(delta2, delta1, then the delta0 values)")
+        if len(vals) != count:
             raise ValueError(f"step file declares {count} values, found {len(vals)}")
         return cls(vals[0], vals[1], np.array(vals[2:]))
 
@@ -159,12 +162,12 @@ class FactorizedPrior:
             raise ValueError(
                 f"prior cdf expects ({self.channels}, m) values, got {v.shape}"
             )
-        x = v.reshape(self.channels, 1, v.shape[1])
+        x = T.reshape(v, self.channels, 1, v.shape[1])
         for k in range(PRIOR_DEPTH):
             x = T.add(T.matmul(T.softplus(self.matrices[k]), x), self.biases[k])
             if k < PRIOR_DEPTH - 1:
                 x = T.add(x, T.mul(T.tanh(self.gates[k]), T.tanh(x)))
-        return T.sigmoid(x).reshape(self.channels, v.shape[1])
+        return T.reshape(T.sigmoid(x), self.channels, v.shape[1])
 
     def bin_prob(self, v, delta) -> Tensor:
         """Mass of the width-delta bin centered at v: F(v+d/2) - F(v-d/2).
@@ -186,13 +189,13 @@ def _per_channel(delta, channels: int) -> Tensor:
         return t
     if t.size != channels:
         raise ValueError(f"expected scalar or {channels} per-channel steps, got {t.shape}")
-    return t.reshape(channels, 1)
+    return T.reshape(t, channels, 1)
 
 
 def channels_first(z: Tensor) -> Tensor:
     """(N,C,H,W) -> (C, N*H*W), the layout the per-channel prior consumes."""
     n, c = z.shape[0], z.shape[1]
-    return T.transpose(z.reshape(n, c, -1), (1, 0, 2)).reshape(c, -1)
+    return T.reshape(T.transpose(T.reshape(z, n, c, -1), (1, 0, 2)), c, -1)
 
 
 def logistic_bin_prob(v, mu, sigma, delta):

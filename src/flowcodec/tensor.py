@@ -158,9 +158,6 @@ class Tensor:
             elif node.requires_grad:
                 node._accumulate(g)
 
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, *shape)
-
 
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):

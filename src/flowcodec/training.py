@@ -158,15 +158,11 @@ class Adam:
 # -- metrics ----------------------------------------------------------------------
 
 
-def mse(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((np.asarray(x, dtype=np.float64) - y) ** 2))
-
-
-def psnr(x: np.ndarray, y: np.ndarray, peak: float = 255.0) -> float:
-    """10 log10(peak^2 / mse), capped at 99 dB for identical inputs."""
+def psnr(x: np.ndarray, y: np.ndarray) -> float:
+    """10 log10(255^2 / mse), capped at 99 dB for identical inputs."""
     if np.asarray(x).shape != np.asarray(y).shape:
         raise ValueError(f"psnr: shape mismatch {np.shape(x)} vs {np.shape(y)}")
-    return _psnr_from_mse(mse(x, y), peak)
+    return _psnr_from_mse(float(np.mean((np.asarray(x, dtype=np.float64) - y) ** 2)), 255.0)
 
 
 def _psnr_from_mse(err: float, peak: float) -> float:
@@ -329,35 +325,36 @@ def train(model: FlowModel, corpus: list[np.ndarray], cfg: TrainConfig,
     try:
         if writer:
             writer.write("step,nll,rate,distortion,psnr\n")
-        for step in range(cfg.steps):
-            batch = sample_batch(corpus, rng, cfg.batch_size, cfg.patch)
-            model.params.zero_grads()
-            if step < cfg.warmup_steps:
-                loss = nll_loss(model, batch, cfg, rng)
-                row = {"step": step, "nll": loss.item(), "rate": loss.item(),
-                       "distortion": float("nan"), "psnr": float("nan"),
-                       "loss": loss.item()}
-            else:
-                loss, parts = rd_loss(model, batch, cfg, rng)
-                if step % NLL_EVERY == 0:
-                    with no_grad():
-                        nll_now = nll_loss(model, batch, cfg, rng).item()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+            for step in range(cfg.steps):
+                batch = sample_batch(corpus, rng, cfg.batch_size, cfg.patch)
+                model.params.zero_grads()
+                if step < cfg.warmup_steps:
+                    loss = nll_loss(model, batch, cfg, rng)
+                    row = {"step": step, "nll": loss.item(), "rate": loss.item(),
+                           "distortion": float("nan"), "psnr": float("nan"),
+                           "loss": loss.item()}
                 else:
-                    _dequant_noise(rng, cfg, batch)  # nll_loss's draw, so later batches stay
-                    nll_now = float("nan")
-                row = {"step": step, "nll": nll_now, "rate": parts["rate"],
-                       "distortion": parts["distortion"], "psnr": parts["psnr"],
-                       "loss": loss.item()}
-            if not np.isfinite(loss.item()):
-                raise NumericError(f"training loss became non-finite at step {step}")
-            loss.backward()
-            opt.step()
-            history.append(row)
-            if writer:
-                writer.write(
-                    f"{row['step']},{row['nll']!r},{row['rate']!r},"
-                    f"{row['distortion']!r},{row['psnr']!r}\n"
-                )
+                    loss, parts = rd_loss(model, batch, cfg, rng)
+                    if step % NLL_EVERY == 0:
+                        with no_grad():
+                            nll_now = nll_loss(model, batch, cfg, rng).item()
+                    else:
+                        _dequant_noise(rng, cfg, batch)  # nll_loss's draw, so later batches stay
+                        nll_now = float("nan")
+                    row = {"step": step, "nll": nll_now, "rate": parts["rate"],
+                           "distortion": parts["distortion"], "psnr": parts["psnr"],
+                           "loss": loss.item()}
+                if not np.isfinite(loss.item()):
+                    raise NumericError(f"training loss became non-finite at step {step}")
+                loss.backward()
+                opt.step()
+                history.append(row)
+                if writer:
+                    writer.write(
+                        f"{row['step']},{row['nll']!r},{row['rate']!r},"
+                        f"{row['distortion']!r},{row['psnr']!r}\n"
+                    )
     finally:
         if writer:
             writer.close()
@@ -399,23 +396,24 @@ def finetune_deltas(model: FlowModel, images: list[np.ndarray], lam: float,
                  Tensor(np.array(0.0), requires_grad=True),
                  Tensor(np.zeros(frozen.base_channels), requires_grad=True)]
     opt = Adam(log_steps, lr=TUNING_LR)
-    for step in range(steps):
-        for p in log_steps:
-            p.zero_grad()
-        total = None
-        for x, zs, conditionals in cached:
-            d2, d1, d0 = (T.exp(p) for p in log_steps)
-            z = LatentSet(round_to_grid(zs.z2, d2), round_to_grid(zs.z1, d1),
-                          round_to_grid(zs.z0, d0.reshape(1, -1, 1, 1)))
-            rate = latent_rate_bits(z, frozen.prior, conditionals, (d2, d1, d0))
-            err = _squared_error(x, frozen.inverse(z))
-            term = T.add(rate, T.mul(err, lam))
-            total = term if total is None else T.add(total, term)
-        loss = T.div(total, float(len(cached)))
-        if not np.isfinite(loss.item()):
-            raise NumericError(f"step tuning diverged: non-finite loss at step {step}")
-        loss.backward()
-        opt.step()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+        for step in range(steps):
+            for p in log_steps:
+                p.zero_grad()
+            total = None
+            for x, zs, conditionals in cached:
+                d2, d1, d0 = (T.exp(p) for p in log_steps)
+                z = LatentSet(round_to_grid(zs.z2, d2), round_to_grid(zs.z1, d1),
+                              round_to_grid(zs.z0, T.reshape(d0, 1, -1, 1, 1)))
+                rate = latent_rate_bits(z, frozen.prior, conditionals, (d2, d1, d0))
+                err = _squared_error(x, frozen.inverse(z))
+                term = T.add(rate, T.mul(err, lam))
+                total = term if total is None else T.add(total, term)
+            loss = T.div(total, float(len(cached)))
+            if not np.isfinite(loss.item()):
+                raise NumericError(f"step tuning diverged: non-finite loss at step {step}")
+            loss.backward()
+            opt.step()
     if not all(np.all(np.isfinite(p.data)) for p in log_steps):
         raise NumericError("step tuning diverged: non-finite steps after the last update")
     # QuantSpec snaps each step to its grid; a step tuned past a grid's end takes the end

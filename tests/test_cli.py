@@ -1,7 +1,11 @@
 """Command-line surface: file plumbing, exit codes, CSV contracts."""
 
 import hashlib
+import importlib.util
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +138,42 @@ class TestEncodeDecode:
                    "--deltas", deltas, "--out", out) == 5
         assert "error: section z1: step 9.094947017729282e-13 cannot be coded" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    def test_escapes_beyond_32_bits_exit_5(self, tmp_path, capsys):
+        """A fresh desk-architecture model's z1 means are 0 and fit, but at
+        delta1 = 2^-40 its z1 symbols escape past 32 bits; the message
+        names the section and its step."""
+        from flowcodec.entropy import QuantSpec
+        model_path, image = tmp_path / "fresh.nfc", tmp_path / "desk.ppm"
+        FlowModel(FlowConfig(in_channels=3, steps=2, blocks=1, hidden=16, seed=42)).save(model_path)
+        write_ppm(image, make_desk_corpus(np.random.default_rng(2000), 1, 32)[0])
+        deltas, out = tmp_path / "steps.txt", tmp_path / "u.nfb"
+        deltas.write_text("\n".join(QuantSpec(1.0, 2.0 ** -40, np.ones(48)).to_lines()))
+        assert run("encode", "--model", model_path, "--input", image,
+                   "--deltas", deltas, "--out", out) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: section z1: step 9.094947017729282e-13 cannot be coded "
+                              "(escaped symbols span ["), err
+        assert not out.exists()
+
+    def test_step_file_of_two_values_exit_2(self, quick_model_path, test_card, tmp_path,
+                                            capsys):
+        deltas, out = tmp_path / "steps.txt", tmp_path / "s.nfb"
+        deltas.write_text("2\n1\n1\n")
+        assert run("encode", "--model", quick_model_path, "--input", test_card,
+                   "--deltas", deltas, "--out", out) == 2
+        assert "needs at least 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None,
+                        reason="Pillow is installed")
+    def test_png_without_pillow_exit_3(self, quick_model_path, tmp_path, capsys):
+        image, out = tmp_path / "card.png", tmp_path / "p.nfb"
+        image.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+        assert run("encode", "--model", quick_model_path, "--input", image,
+                   "--deltas", "1.0", "--out", out) == 3
+        assert "Pillow" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["-1", "0", "nan"])
@@ -450,17 +490,39 @@ class TestFinetuneAndSweep:
         spec = QuantSpec.from_lines(out.read_text().splitlines())
         assert spec.delta2 > 0
 
-    def test_finetune_overflowing_lambda_exit_5(self, corpus_dir, tmp_path, capsys):
-        """At lambda = 1e308 the weighted distortion of a strongly perturbed
-        model overflows in the first loss: exit 5, no step file."""
+    @pytest.fixture()
+    def loud_model(self, tmp_path):
+        """A model perturbed so strongly that at lambda = 1e308 the weighted
+        distortion overflows in the first tuning loss."""
         model = FlowModel(FlowConfig(in_channels=3, steps=2, blocks=1, hidden=16, seed=42))
         perturb_model(model, np.random.default_rng(777), scale=1.0)
         model.save(tmp_path / "loud.nfc")
+        return tmp_path / "loud.nfc"
+
+    def test_finetune_overflowing_lambda_exit_5(self, loud_model, corpus_dir, tmp_path, capsys):
+        """Exit 5, no step file."""
         out = tmp_path / "steps.txt"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run("finetune", "--model", tmp_path / "loud.nfc", "--corpus", corpus_dir,
-                       "--lambda", "1e308", "--steps", 10, "--out", out) == 5
+        assert run("finetune", "--model", loud_model, "--corpus", corpus_dir,
+                   "--lambda", "1e308", "--steps", 10, "--out", out) == 5
         assert "step tuning diverged: non-finite loss at step 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finetune_overflow_under_warnings_as_errors_exit_5(self, loud_model, corpus_dir,
+                                                               tmp_path):
+        """With every warning an error, the overflowing loss still reaches
+        the CLI as a numeric failure: exit 5 and one line on stderr."""
+        out = tmp_path / "steps.txt"
+        src = Path(cli.__file__).parent.parent
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "flowcodec.cli", "finetune",
+             "--model", str(loud_model), "--corpus", str(corpus_dir),
+             "--lambda", "1e308", "--steps", "10", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: step tuning diverged: non-finite loss at step 0"], proc.stderr
         assert not out.exists()
 
     def test_rd_sweep_csv(self, quick_model_path, corpus_dir, tmp_path, capsys):

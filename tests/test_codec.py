@@ -669,7 +669,7 @@ class TestContainer:
         struct.pack_into("<h", blob, struct.calcsize("<4sB16sIIHdBh"),
                          round(16 * np.log2(step)))
         struct.pack_into("<I", blob, start - 4, zlib.crc32(bytes(blob[: start - 4])))
-        with np.errstate(over="ignore"), pytest.raises(FormatError, match=match):
+        with pytest.raises(FormatError, match=match):
             decode_image(model, bytes(blob))
 
     def test_base_step_the_prior_cannot_take_is_a_format_error(self, model, image):
@@ -682,7 +682,7 @@ class TestContainer:
         blob = encode_image(model, image, spec_for(model, 1.0))
         header, start = C._parse_header(blob)
         header.model_id = other.model_id
-        with np.errstate(all="ignore"), pytest.raises(FormatError, match="section z0"):
+        with pytest.raises(FormatError, match="section z0"):
             decode_image(other, C._pack_header(header) + blob[start:])
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
@@ -885,13 +885,16 @@ class TestEncoderRefusals:
     def test_escapes_beyond_32_bits_refused(self):
         """A fresh desk-architecture model's conditioning heads start at
         zero, so every z1 mean is 0 and fits; at delta1 = 2^-40 the z1
-        symbols themselves escape past 32 bits."""
+        symbols themselves escape past 32 bits, and the error names the
+        section and its step."""
         model = FlowModel(FlowConfig(in_channels=3, steps=2, blocks=1, hidden=16, seed=42))
         image = make_desk_corpus(np.random.default_rng(2000), 1, 32)[0]
         spec = QuantSpec(1.0, 2.0 ** -40, np.ones(model.base_channels))
-        with pytest.raises(NumericError, match=r"escaped symbols span \[-?\d+, -?\d+\], "
-                                               "beyond 32 bits"):
+        with pytest.raises(NumericError) as info:
             encode_image(model, image, spec)
+        assert re.fullmatch(r"section z1: step 9\.094947017729282e-13 cannot be coded "
+                            r"\(escaped symbols span \[-?\d+, -?\d+\], beyond 32 bits\)",
+                            str(info.value)), str(info.value)
 
 
 def openblas_dynamic_arch() -> bool:

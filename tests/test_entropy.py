@@ -261,6 +261,14 @@ class TestQuantSpec:
         with pytest.raises(ValueError, match="declares"):
             QuantSpec.from_lines(["5", "1.0", "1.0", "1.0"])
 
+    def test_rejects_fewer_than_three_values(self):
+        """A step file needs delta2, delta1 and at least one delta0 value,
+        even when its count line agrees with what follows."""
+        with pytest.raises(ValueError, match=r"^step file declares 2 values; it needs at "
+                                             r"least 3 \(delta2, delta1, then the delta0 "
+                                             r"values\)$"):
+            QuantSpec.from_lines(["2", "1", "1"])
+
 
 GRID = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 

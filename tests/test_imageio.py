@@ -1,5 +1,7 @@
 """Image I/O: PPM round trips and format validation."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,11 @@ class TestPng:
         img = read_image(path)
         assert img.shape == (3, 6, 5)
         assert np.array_equal(img, arr.transpose(2, 0, 1).astype(np.float64))
+
+    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None,
+                        reason="Pillow is installed")
+    def test_png_without_pillow_names_pillow(self, tmp_path):
+        path = tmp_path / "img.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+        with pytest.raises(FormatError, match="PNG support needs Pillow"):
+            read_image(path)

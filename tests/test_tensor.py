@@ -110,7 +110,7 @@ class TestBackward:
         # add hands one array to both operands and reshape returns a view;
         # accumulating into either must not change the other's gradient
         w = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
-        r = w.reshape(2, 2)
+        r = T.reshape(w, 2, 2)
         u = T.mul(r, 1.0)
         loss = T.add(T.reduce_sum(T.add(u, r)), T.reduce_sum(T.mul(u, u)))  # d/dw = 2 + 2w
         loss.backward()
@@ -268,7 +268,7 @@ class TestGradcheckPrimitives:
             elif name == "mean":
                 out = T.mul(T.div(T.reduce_sum(a), float(a.size)), 2.0)
             elif name == "matmul":
-                out = T.matmul(a.reshape(8, 2, 8), b.reshape(8, 8, 2))
+                out = T.matmul(T.reshape(a, 8, 2, 8), T.reshape(b, 8, 8, 2))
             elif name == "take":
                 out = T.take_channels(a, np.array([3, 1, 2]))
             elif name == "concat":
@@ -278,7 +278,7 @@ class TestGradcheckPrimitives:
             elif name == "bias_broadcast":
                 out = T.add(a, bias)  # the gradient sums back to (1, 4, 1, 1)
             elif name == "reshape":
-                out = T.mul(a.reshape(2, 64), 0.3)
+                out = T.mul(T.reshape(a, 2, 64), 0.3)
             return T.div(T.reduce_sum(T.mul(out, out)), float(out.size))
 
         h = 1e-5

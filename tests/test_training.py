@@ -171,12 +171,12 @@ class TestMetrics:
     def test_psnr_unit_mse(self):
         x = np.zeros((1, 10, 10))
         y = np.ones((1, 10, 10))
-        assert psnr(x, y, peak=255.0) == pytest.approx(48.13080361, abs=1e-6)
+        assert psnr(x, y) == pytest.approx(48.13080361, abs=1e-6)
 
     def test_psnr_full_swing(self):
         x = np.zeros((1, 4, 4))
         y = np.full((1, 4, 4), 255.0)
-        assert psnr(x, y, peak=255.0) == 0.0
+        assert psnr(x, y) == 0.0
 
     def test_psnr_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -425,8 +425,7 @@ class TestTrainLoop:
         raw = model.to_bytes()
         cfg = TrainConfig(batch_size=2, steps=3, lambda_rd=1e308, seed=13, patch=16)
         metrics = tmp_path / "metrics.csv"
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match="non-finite at step 0"):
+        with pytest.raises(NumericError, match="non-finite at step 0"):
             train(model, tiny_corpus(np.random.default_rng(12), n=4), cfg, metrics_path=metrics)
         assert model.to_bytes() == raw
         assert metrics.read_text() == "step,nll,rate,distortion,psnr\n"
@@ -600,8 +599,7 @@ class TestFinetuneDeltas:
         model = tiny_model(seed=26)
         perturb_model(model, np.random.default_rng(105), 0.01)
         images = tiny_corpus(np.random.default_rng(16), n=2, size=16)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match="step tuning diverged: non-finite loss"):
+        with pytest.raises(NumericError, match="step tuning diverged: non-finite loss"):
             finetune_deltas(model, images, lam=1e308, steps=10)
         assert rates == [training.TUNING_LR]
 
